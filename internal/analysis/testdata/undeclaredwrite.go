@@ -138,6 +138,8 @@ func emitDWStacked(rt *taskrt.Runtime, ws *fixWS, panels []*tensor.Matrix) {
 		Fn: func() {
 			tensor.TransposeStackInto(ws.stackP, panels)               // unmapped scratch: no diagnostic
 			tensor.GemmTAccDstCols(ws.dGates, 0, ws.stackP, ws.stackP) // want "task \"bad-dw\" writes ws.dGates"
+			tensor.StackRowsInto(ws.stackP, panels)                    // unmapped scratch: no diagnostic
+			tensor.GemmAccDstCols(ws.dGates, 0, ws.stackP, ws.stackP)  // want "task \"bad-dw\" writes ws.dGates"
 		},
 	})
 }

@@ -67,7 +67,8 @@ func seedSummaries() map[string]*mutSummary {
 		// resolves only when the slice itself roots at a key-mapped field
 		// (append-built locals stay conservatively silent).
 		"MatMulCols", "MatMulTCols", "GemmAccCols", "GemmTAccCols",
-		"GemmATAccCols", "GemmTAccDstCols", "TransposeStackInto",
+		"GemmATAccCols", "GemmTAccDstCols", "GemmAccDstCols",
+		"TransposeStackInto", "StackRowsInto",
 		"GemmTAccColsBatch", "GemmAccColsBatch", "GemmATAccColsBatch",
 		"CopyColsInto",
 		// Dtype-generic dispatchers. They reach the kernels through the

@@ -25,16 +25,26 @@ type PackSet[E tensor.Elt] struct {
 
 // PackLSTM packs the split-path panels of one LSTM direction.
 func PackLSTM[E tensor.Elt](w *LSTMWeightsOf[E]) *PackSet[E] {
-	return &PackSet[E]{
-		X: tensor.NewPackedPanel(w.W, 0, w.InputSize),
-		H: tensor.NewPackedPanel(w.W, w.InputSize, w.HiddenSize),
-	}
+	ps := PackLSTMRecurrent(w)
+	ps.X = tensor.NewPackedPanel(w.W, 0, w.InputSize)
+	return ps
+}
+
+// PackLSTMRecurrent packs only the recurrent window of one LSTM direction.
+func PackLSTMRecurrent[E tensor.Elt](w *LSTMWeightsOf[E]) *PackSet[E] {
+	return &PackSet[E]{H: tensor.NewPackedPanel(w.W, w.InputSize, w.HiddenSize)}
 }
 
 // PackGRU packs the split-path panels of one GRU direction.
 func PackGRU[E tensor.Elt](w *GRUWeightsOf[E]) *PackSet[E] {
+	ps := PackGRURecurrent(w)
+	ps.X = tensor.NewPackedPanel(w.W, 0, w.InputSize)
+	return ps
+}
+
+// PackGRURecurrent packs only the recurrent windows of one GRU direction.
+func PackGRURecurrent[E tensor.Elt](w *GRUWeightsOf[E]) *PackSet[E] {
 	return &PackSet[E]{
-		X:   tensor.NewPackedPanel(w.W, 0, w.InputSize),
 		HZR: tensor.NewPackedPanel(w.viewZR(), w.InputSize, w.HiddenSize),
 		HH:  tensor.NewPackedPanel(w.viewH(), w.InputSize, w.HiddenSize),
 	}
@@ -42,10 +52,14 @@ func PackGRU[E tensor.Elt](w *GRUWeightsOf[E]) *PackSet[E] {
 
 // PackRNN packs the split-path panels of one RNN direction.
 func PackRNN[E tensor.Elt](w *RNNWeightsOf[E]) *PackSet[E] {
-	return &PackSet[E]{
-		X: tensor.NewPackedPanel(w.W, 0, w.InputSize),
-		H: tensor.NewPackedPanel(w.W, w.InputSize, w.HiddenSize),
-	}
+	ps := PackRNNRecurrent(w)
+	ps.X = tensor.NewPackedPanel(w.W, 0, w.InputSize)
+	return ps
+}
+
+// PackRNNRecurrent packs only the recurrent window of one RNN direction.
+func PackRNNRecurrent[E tensor.Elt](w *RNNWeightsOf[E]) *PackSet[E] {
+	return &PackSet[E]{H: tensor.NewPackedPanel(w.W, w.InputSize, w.HiddenSize)}
 }
 
 // Repack refreshes every panel from the live weights, in place; pointers held

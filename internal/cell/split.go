@@ -11,9 +11,10 @@
 // chain too: the chain task only emits its pre-activation gate-gradient panel
 // and dHPrev, and one batched task per (layer, direction) folds the whole
 // sequence of panels into the weight and bias gradients afterwards. The
-// batched task transposes the panel/input/state sequences into contiguous
-// stacks (tensor.TransposeStackInto) so both weight-gradient halves run as
-// dot-form GEMMs (tensor.GemmTAccDstCols) — register accumulation over the
+// batched task transposes the panel sequence into one contiguous stack
+// (tensor.TransposeStackInto) and copies the input/state sequences into
+// row stacks (tensor.StackRowsInto), so both weight-gradient halves run as
+// dot-form GEMMs (tensor.GemmAccDstCols) — register accumulation over the
 // stacked K = seq·batch dimension instead of read-modify-writing the weight
 // gradient once per timestep.
 package cell
@@ -72,9 +73,9 @@ func LSTMBackwardPre(w *LSTMWeights, st *LSTMState, hPrev, cPrev, dH, dC, dGates
 //
 // panels[t], xs[t] and hPrevs[t] are timestep t's gate-gradient panel, layer
 // input and previous hidden state (the caller passes its zero matrix at the
-// chain boundary). stackP ([4H x K]) and stackB ([max(In,H) x K], with
-// K = len(panels)·batch) are caller-owned transposition scratch, so the
-// kernel allocates nothing but two matrix headers. Both GEMMs accumulate in
+// chain boundary). stackP ([4H x K]) and stackB (K·max(In,H) elements, with
+// K = len(panels)·batch) are caller-owned stacking scratch, so the kernel
+// allocates nothing but two matrix headers. Both GEMMs accumulate in
 // registers over the stacked K dimension; the summation order (t ascending,
 // batch row ascending) is fixed, keeping parallel training bitwise
 // deterministic.
@@ -82,12 +83,12 @@ func LSTMDWBatch(w *LSTMWeights, grads *LSTMGrads, panels, xs, hPrevs []*tensor.
 	dwBiasSum(grads.DB, panels)
 	tensor.TransposeStackInto(stackP, panels)
 	k := stackP.Cols
-	xT := &tensor.Matrix{Rows: w.InputSize, Cols: k, Data: stackB.Data[:w.InputSize*k]}
-	tensor.TransposeStackInto(xT, xs)
-	tensor.GemmTAccDstCols(grads.DW, 0, stackP, xT)
-	hT := &tensor.Matrix{Rows: w.HiddenSize, Cols: k, Data: stackB.Data[:w.HiddenSize*k]}
-	tensor.TransposeStackInto(hT, hPrevs)
-	tensor.GemmTAccDstCols(grads.DW, w.InputSize, stackP, hT)
+	xS := &tensor.Matrix{Rows: k, Cols: w.InputSize, Data: stackB.Data[:k*w.InputSize]}
+	tensor.StackRowsInto(xS, xs)
+	tensor.GemmAccDstCols(grads.DW, 0, stackP, xS)
+	hS := &tensor.Matrix{Rows: k, Cols: w.HiddenSize, Data: stackB.Data[:k*w.HiddenSize]}
+	tensor.StackRowsInto(hS, hPrevs)
+	tensor.GemmAccDstCols(grads.DW, w.InputSize, stackP, hS)
 }
 
 // dwBiasSum adds every panel's row sums into db, t ascending then batch row
@@ -218,24 +219,24 @@ func GRUBackwardPre(w *GRUWeights, st *GRUState, hPrev, dH, dGates, dX, dHPrev *
 // row block: the z/r rows multiplied hPrev in the forward pass while the
 // candidate rows multiplied r⊙hPrev, so rhs[t] must carry timestep t's
 // cached RH panel (GRUState.RH). stackB is reused for the x, hPrev and RH
-// stacks in turn.
+// row stacks in turn.
 func GRUDWBatch(w *GRUWeights, grads *GRUGrads, panels, xs, hPrevs, rhs []*tensor.Matrix, stackP, stackB *tensor.Matrix) {
 	H := w.HiddenSize
 	In := w.InputSize
 	dwBiasSum(grads.DB, panels)
 	tensor.TransposeStackInto(stackP, panels)
 	k := stackP.Cols
-	xT := &tensor.Matrix{Rows: In, Cols: k, Data: stackB.Data[:In*k]}
-	tensor.TransposeStackInto(xT, xs)
-	tensor.GemmTAccDstCols(grads.DW, 0, stackP, xT)
+	xS := &tensor.Matrix{Rows: k, Cols: In, Data: stackB.Data[:k*In]}
+	tensor.StackRowsInto(xS, xs)
+	tensor.GemmAccDstCols(grads.DW, 0, stackP, xS)
 
 	pZR := &tensor.Matrix{Rows: 2 * H, Cols: k, Data: stackP.Data[:2*H*k]}
 	pH := &tensor.Matrix{Rows: H, Cols: k, Data: stackP.Data[2*H*k:]}
-	hT := &tensor.Matrix{Rows: H, Cols: k, Data: stackB.Data[:H*k]}
-	tensor.TransposeStackInto(hT, hPrevs)
-	tensor.GemmTAccDstCols(grads.viewDZR(), In, pZR, hT)
-	tensor.TransposeStackInto(hT, rhs)
-	tensor.GemmTAccDstCols(grads.viewDH(), In, pH, hT)
+	hS := &tensor.Matrix{Rows: k, Cols: H, Data: stackB.Data[:k*H]}
+	tensor.StackRowsInto(hS, hPrevs)
+	tensor.GemmAccDstCols(grads.viewDZR(), In, pZR, hS)
+	tensor.StackRowsInto(hS, rhs)
+	tensor.GemmAccDstCols(grads.viewDH(), In, pH, hS)
 }
 
 // --- RNN ---
@@ -292,12 +293,12 @@ func RNNDWBatch(w *RNNWeights, grads *RNNGrads, panels, xs, hPrevs []*tensor.Mat
 	dwBiasSum(grads.DB, panels)
 	tensor.TransposeStackInto(stackP, panels)
 	k := stackP.Cols
-	xT := &tensor.Matrix{Rows: w.InputSize, Cols: k, Data: stackB.Data[:w.InputSize*k]}
-	tensor.TransposeStackInto(xT, xs)
-	tensor.GemmTAccDstCols(grads.DW, 0, stackP, xT)
-	hT := &tensor.Matrix{Rows: w.HiddenSize, Cols: k, Data: stackB.Data[:w.HiddenSize*k]}
-	tensor.TransposeStackInto(hT, hPrevs)
-	tensor.GemmTAccDstCols(grads.DW, w.InputSize, stackP, hT)
+	xS := &tensor.Matrix{Rows: k, Cols: w.InputSize, Data: stackB.Data[:k*w.InputSize]}
+	tensor.StackRowsInto(xS, xs)
+	tensor.GemmAccDstCols(grads.DW, 0, stackP, xS)
+	hS := &tensor.Matrix{Rows: k, Cols: w.HiddenSize, Data: stackB.Data[:k*w.HiddenSize]}
+	tensor.StackRowsInto(hS, hPrevs)
+	tensor.GemmAccDstCols(grads.DW, w.InputSize, stackP, hS)
 }
 
 // ProjFlops estimates one timestep's input-projection flops for a gate panel

@@ -33,7 +33,7 @@ func (e *Engine) TrainStepBarrier(b *Batch, lr float64) (float64, error) {
 	}
 	T := b.SeqLen()
 	wss := e.workspaces(T)
-	e.refreshWeightCaches()
+	e.refreshWeightCaches(false)
 	// The barrier ablation always emits fresh (replay has no sync points to
 	// model), so the post-step ResetDeps below handles the sanitizer state.
 	e.bindWorkspaces(wss, b)

@@ -73,6 +73,12 @@ func (s *BSeq) TrainStep(b *Batch, lr float64) (float64, error) {
 	if T == 0 {
 		return 0, fmt.Errorf("core: empty batch")
 	}
+	// The sub-engines share the model's weights, so they share one set of
+	// packed recurrent panels too, refreshed here on the host.
+	s.subs[0].refreshWeightCaches(false)
+	for _, sub := range s.subs[1:] {
+		sub.pack64 = s.subs[0].pack64
+	}
 	for i, sub := range s.subs {
 		i, sub := i, sub
 		lo, hi := s.mbBounds(i)

@@ -161,7 +161,7 @@ func (e *Engine) emitProjection(ws *workspace, mbIdx, l int, rev, f32 bool) {
 					for i := range xs {
 						xs[i] = ws.input(l, t0+i)
 					}
-					e.runPreGatesBatch(p, xs, ps)
+					p.preGatesBatch(xs, ps)
 				}
 			}
 		}

@@ -123,14 +123,6 @@ type Engine struct {
 	// Set before the first step, like FusedGates; phantom engines ignore it.
 	InferDType tensor.DType
 
-	// PackPanels, when true, routes the float64 split-path column-window
-	// GEMMs through cache-contiguous packed weight panels (tensor.PackedPanel),
-	// cached per (layer, direction) and repacked when the weights change. The
-	// packed kernels accumulate bitwise-identically to the unpacked ones, so
-	// results do not change — only memory traffic does. No effect in fused
-	// mode. Set before the first step, like FusedGates.
-	PackPanels bool
-
 	// NoReduceGraph freezes captured templates with the full derived edge
 	// set instead of the transitive reduction taskrt applies by default.
 	// The two freezes replay identically (the reduction preserves the
@@ -159,16 +151,17 @@ type Engine struct {
 	adam *adamState
 	obs  *engineObs // live metrics; nil unless EnableObs was called
 
-	// Derived weight caches, keyed on the model's weight version: float64
-	// packed panels (PackPanels) and the float32 weight mirror (InferDType ==
-	// F32). Built and refreshed host-side by refreshWeightCaches between
-	// steps; task bodies only read them.
-	pack64     map[*dirParams]*cell.PackSet[float64]
-	fm32       map[*dirParams]*dirF32
-	head32W    []*tensor.Mat[float32] // one mirror per head
-	head32B    [][]float32
-	cacheVer   uint64
-	cachesInit bool
+	// Derived weight caches, each keyed on the model's weight version: the
+	// packed float64 recurrent panels every split-path chain task reads, and
+	// the float32 weight mirror (InferDType == F32). Built and refreshed
+	// host-side by refreshWeightCaches at the entry of a step that reads
+	// them; task bodies only read them.
+	pack64  map[*dirParams]*cell.PackSet[float64]
+	fm32    map[*dirParams]*dirF32
+	head32W []*tensor.Mat[float32] // one mirror per head
+	head32B [][]float32
+	packVer cache
+	f32Ver  cache
 
 	// lastHeadLosses caches the per-head mean losses of the most recent
 	// labeled step; read through HeadLosses.
@@ -283,83 +276,92 @@ func (e *Engine) isF32() bool {
 	return e.InferDType == tensor.F32 && !e.phantom
 }
 
-// refreshWeightCaches rebuilds the derived weight caches (packed float64
-// panels, float32 mirror) when the model's weight version has moved since
-// they were last built. Runs host-side between steps; the refreshed buffers
-// are updated in place so pointers captured by replay templates stay valid.
-func (e *Engine) refreshWeightCaches() {
-	needPack := e.PackPanels && !e.phantom && !e.FusedGates
-	needF32 := e.isF32()
-	if !needPack && !needF32 {
-		return
+// cache records the weight version a derived weight cache was built at.
+type cache struct {
+	ver   uint64
+	valid bool
+}
+
+// stale reports whether a cache built at c must be rebuilt for model m, and
+// marks it current.
+func (c *cache) stale(m *Model) bool {
+	ver := m.weightVersion()
+	if c.valid && m.mut != nil && ver == c.ver {
+		return false
 	}
-	ver := e.M.weightVersion()
-	if e.cachesInit && e.M.mut != nil && ver == e.cacheVer {
-		return
+	c.ver, c.valid = ver, true
+	return true
+}
+
+// refreshWeightCaches rebuilds the derived weight caches a step reads when
+// the model's weight version has moved since they were last built: the
+// float32 mirror for an f32 step, the packed float64 recurrent panels for
+// any other split-path step. Runs host-side at step entry; the refreshed
+// buffers are updated in place so pointers captured by replay templates stay
+// valid.
+func (e *Engine) refreshWeightCaches(f32 bool) {
+	switch {
+	case e.phantom:
+	case f32:
+		if e.f32Ver.stale(e.M) {
+			e.refreshF32()
+		}
+	case !e.FusedGates:
+		if e.packVer.stale(e.M) {
+			e.refreshPanels()
+		}
 	}
+}
+
+// refreshPanels repacks (or first packs) every direction's recurrent
+// window: the one packed copy the float64 split path holds.
+func (e *Engine) refreshPanels() {
+	for l := range e.M.fwd {
+		for _, p := range []*dirParams{e.M.fwd[l], e.M.rev[l]} {
+			if ps, ok := e.pack64[p]; ok {
+				ps.Repack()
+				continue
+			}
+			if e.pack64 == nil {
+				e.pack64 = make(map[*dirParams]*cell.PackSet[float64])
+			}
+			e.pack64[p] = p.packRecurrent()
+		}
+	}
+}
+
+// refreshF32 reconverts (or first converts) the float32 weight mirror.
+func (e *Engine) refreshF32() {
 	split := !e.FusedGates
 	for l := range e.M.fwd {
 		for _, p := range []*dirParams{e.M.fwd[l], e.M.rev[l]} {
-			if needPack {
-				if ps, ok := e.pack64[p]; ok {
-					ps.Repack()
-				} else {
-					if e.pack64 == nil {
-						e.pack64 = make(map[*dirParams]*cell.PackSet[float64])
-					}
-					e.pack64[p] = p.packPanels()
-				}
+			if d, ok := e.fm32[p]; ok {
+				d.refresh(p)
+				continue
 			}
-			if needF32 {
-				if d, ok := e.fm32[p]; ok {
-					d.refresh(p)
-				} else {
-					if e.fm32 == nil {
-						e.fm32 = make(map[*dirParams]*dirF32)
-					}
-					e.fm32[p] = newDirF32(p, split)
-				}
+			if e.fm32 == nil {
+				e.fm32 = make(map[*dirParams]*dirF32)
 			}
+			e.fm32[p] = newDirF32(p, split)
 		}
 	}
-	if needF32 {
-		if e.head32W == nil {
-			for h := range e.M.Heads {
-				e.head32W = append(e.head32W, tensor.NewOf[float32](e.M.Heads[h].W.Rows, e.M.Heads[h].W.Cols))
-				e.head32B = append(e.head32B, make([]float32, len(e.M.Heads[h].B)))
-			}
-		}
+	if e.head32W == nil {
 		for h := range e.M.Heads {
-			tensor.ConvertInto(e.head32W[h], e.M.Heads[h].W)
-			tensor.ConvertSlice(e.head32B[h], e.M.Heads[h].B)
+			e.head32W = append(e.head32W, tensor.NewOf[float32](e.M.Heads[h].W.Rows, e.M.Heads[h].W.Cols))
+			e.head32B = append(e.head32B, make([]float32, len(e.M.Heads[h].B)))
 		}
 	}
-	e.cacheVer = ver
-	e.cachesInit = true
+	for h := range e.M.Heads {
+		tensor.ConvertInto(e.head32W[h], e.M.Heads[h].W)
+		tensor.ConvertSlice(e.head32B[h], e.M.Heads[h].B)
+	}
 }
 
-// runForwardPre dispatches a float64 split chain update through the packed
-// panels when panel packing is active, the plain path otherwise. Consulted at
-// task run time so the same captured template serves both settings.
+// runForwardPre runs a float64 split chain update through the direction's
+// packed recurrent panel, looked up at task run time: refreshWeightCaches
+// builds it at the entry of the step that replays or emits the task.
 func (e *Engine) runForwardPre(p *dirParams, pre, hPrev, cPrev *tensor.Matrix, st *cellSt) {
-	if e.PackPanels {
-		if ps, ok := e.pack64[p]; ok {
-			p.forwardPrePacked(ps, pre, hPrev, cPrev, st)
-			return
-		}
-	}
-	p.forwardPre(pre, hPrev, cPrev, st)
-}
-
-// runPreGatesBatch is runForwardPre for the batched input projection.
-func (e *Engine) runPreGatesBatch(p *dirParams, xs, pres []*tensor.Matrix) {
-	if e.PackPanels {
-		if ps, ok := e.pack64[p]; ok {
-			p.preGatesBatchPacked(ps, xs, pres)
-			return
-		}
-	}
-	p.preGatesBatch(xs, pres)
+	p.forwardPrePacked(e.pack64[p], pre, hPrev, cPrev, st)
 }
 
 // mbBounds returns the row range of mini-batch i.
@@ -484,7 +486,7 @@ func (e *Engine) TrainStep(b *Batch, lr float64) (float64, error) {
 	stepStart := time.Now()
 	T := b.SeqLen()
 	wss := e.workspaces(T)
-	e.refreshWeightCaches()
+	e.refreshWeightCaches(false)
 	dc := e.bindWorkspaces(wss, b)
 	if rp := e.replayer(); rp != nil {
 		rp.Replay(e.template(true, T))
@@ -629,9 +631,9 @@ func (e *Engine) Infer(b *Batch) ([][]int, float64, error) {
 	stepStart := time.Now()
 	T := b.SeqLen()
 	wss := e.workspaces(T)
-	e.refreshWeightCaches()
-	dc := e.bindWorkspaces(wss, b)
 	f32 := e.isF32()
+	e.refreshWeightCaches(f32)
+	dc := e.bindWorkspaces(wss, b)
 	if rp := e.replayer(); rp != nil {
 		rp.Replay(e.template(false, T))
 	} else {
@@ -686,9 +688,9 @@ func (e *Engine) InferProbs(b *Batch) ([]*tensor.Matrix, float64, error) {
 	stepStart := time.Now()
 	T := b.SeqLen()
 	wss := e.workspaces(T)
-	e.refreshWeightCaches()
-	dc := e.bindWorkspaces(wss, b)
 	f32 := e.isF32()
+	e.refreshWeightCaches(f32)
+	dc := e.bindWorkspaces(wss, b)
 	if rp := e.replayer(); rp != nil {
 		rp.Replay(e.template(false, T))
 	} else {

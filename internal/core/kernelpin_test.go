@@ -42,8 +42,10 @@ func kernelPinCfg(cell CellKind, batch, hidden, mbs int, merge MergeOp) Config {
 // TestKernelBitwisePin pins the float64 split path — inference outputs and
 // the weights after three training steps — and the float32 mirror's
 // inference outputs to fingerprints captured from the scalar kernels, before
-// any vectorized kernel existed. Any single-ULP deviation in any GEMM of the
-// split path (projection, recurrent chain, dHPrev, dX, dW) changes a hash.
+// any vectorized kernel existed, and identical then with and without packed
+// weight panels. Any single-ULP deviation in any GEMM of the split path
+// (projection, recurrent chain, dHPrev, dX, dW) changes a hash, on the
+// replay and the fresh-emission paths alike.
 func TestKernelBitwisePin(t *testing.T) {
 	type pin = kernelPin
 	cases := []struct {
@@ -66,11 +68,11 @@ func TestKernelBitwisePin(t *testing.T) {
 	for _, tc := range cases {
 		tc := tc
 		t.Run(tc.name, func(t *testing.T) {
-			for _, pack := range []bool{false, true} {
-				got := runKernelPin(t, tc.cfg, false, pack)
+			for _, noReplay := range []bool{false, true} {
+				got := runKernelPin(t, tc.cfg, false, noReplay)
 				if got != tc.want {
-					t.Errorf("pack=%v: split-path numerics drifted from the scalar-kernel pin:\n  got  %s\n  want %s",
-						pack, got, tc.want)
+					t.Errorf("noReplay=%v: split-path numerics drifted from the scalar-kernel pin:\n  got  %s\n  want %s",
+						noReplay, got, tc.want)
 				}
 			}
 		})
@@ -79,11 +81,11 @@ func TestKernelBitwisePin(t *testing.T) {
 		cfg := multiHeadCfg(LSTM, 2)
 		cfg.InputSize, cfg.HiddenSize, cfg.Batch, cfg.SeqLen = 7, 20, 8, 9
 		want := pin{0x74d3c803973f6548, 0x33a3b02355afdf31, 0x4006e34b03a5a4b1, 0x938a59a2f3fe47f4}
-		for _, pack := range []bool{false, true} {
-			got := runKernelPin(t, cfg, true, pack)
+		for _, noReplay := range []bool{false, true} {
+			got := runKernelPin(t, cfg, true, noReplay)
 			if got != want {
-				t.Errorf("pack=%v: masked multi-head numerics drifted from the scalar-kernel pin:\n  got  %s\n  want %s",
-					pack, got, want)
+				t.Errorf("noReplay=%v: masked multi-head numerics drifted from the scalar-kernel pin:\n  got  %s\n  want %s",
+					noReplay, got, want)
 			}
 		}
 	})
@@ -102,8 +104,9 @@ func (p kernelPin) String() string {
 // runKernelPin fingerprints one config: f64 InferProbs on the initial
 // weights, the weights and final loss after three TrainSteps, and f32
 // InferProbs on the trained weights. masked selects multi-head batches with
-// per-row lengths.
-func runKernelPin(t *testing.T, cfg Config, masked, pack bool) (p kernelPin) {
+// per-row lengths; noReplay re-emits every step's graph instead of replaying
+// a captured template.
+func runKernelPin(t *testing.T, cfg Config, masked, noReplay bool) (p kernelPin) {
 	t.Helper()
 	batch := func(seed uint64) *Batch {
 		if masked {
@@ -116,7 +119,7 @@ func runKernelPin(t *testing.T, cfg Config, masked, pack bool) (p kernelPin) {
 		t.Fatal(err)
 	}
 	e := NewEngine(m, inlineExec())
-	e.PackPanels = pack
+	e.NoReplay = noReplay
 	probs, _, err := e.InferProbs(batch(11))
 	if err != nil {
 		t.Fatal(err)
@@ -131,7 +134,7 @@ func runKernelPin(t *testing.T, cfg Config, masked, pack bool) (p kernelPin) {
 	p.weights, p.loss = weightFingerprint(m), math.Float64bits(loss)
 	e32 := NewEngine(m, inlineExec())
 	e32.InferDType = tensor.F32
-	e32.PackPanels = pack
+	e32.NoReplay = noReplay
 	probs32, _, err := e32.InferProbs(batch(11))
 	if err != nil {
 		t.Fatal(err)

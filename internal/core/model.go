@@ -154,28 +154,17 @@ func (p *dirParams) preGatesBatch(xs, pres []*tensor.Matrix) {
 	tensor.GemmTAccColsBatch(pres, xs, w, 0)
 }
 
-// preGatesBatchPacked is preGatesBatch reading a packed input panel. The
-// accumulation order (bias first, then the column-window product) matches
-// preGatesBatch exactly, and the packed kernel is bitwise-identical to the
-// unpacked one, so toggling packing never changes float64 results.
-func (p *dirParams) preGatesBatchPacked(ps *cell.PackSet[float64], xs, pres []*tensor.Matrix) {
-	_, b := p.wParams()
-	for _, pre := range pres {
-		pre.Zero()
-		tensor.AddBiasRows(pre, b)
-	}
-	tensor.GemmTAccColsPackedBatch(pres, xs, ps.X)
-}
-
-// packPanels packs this direction's split-path weight panels.
-func (p *dirParams) packPanels() *cell.PackSet[float64] {
+// packRecurrent packs this direction's recurrent weight window, the only
+// packed copy the float64 split path holds: the input projection reads Wx
+// in place.
+func (p *dirParams) packRecurrent() *cell.PackSet[float64] {
 	switch p.kind {
 	case LSTM:
-		return cell.PackLSTM(p.lstm)
+		return cell.PackLSTMRecurrent(p.lstm)
 	case GRU:
-		return cell.PackGRU(p.gru)
+		return cell.PackGRURecurrent(p.gru)
 	default:
-		return cell.PackRNN(p.rnn)
+		return cell.PackRNNRecurrent(p.rnn)
 	}
 }
 
@@ -214,20 +203,8 @@ func (p *dirParams) hiddenSize() int {
 	}
 }
 
-// forwardPre runs the chain-resident split forward remainder. cPrev is
-// ignored for GRU and RNN.
-func (p *dirParams) forwardPre(pre, hPrev, cPrev *tensor.Matrix, st *cellSt) {
-	switch p.kind {
-	case LSTM:
-		cell.LSTMForwardPre(p.lstm, pre, hPrev, cPrev, st.lstm)
-	case GRU:
-		cell.GRUForwardPre(p.gru, pre, hPrev, st.gru)
-	default:
-		cell.RNNForwardPre(p.rnn, pre, hPrev, st.rnn)
-	}
-}
-
-// forwardPrePacked is forwardPre reading packed recurrent panels.
+// forwardPrePacked runs the chain-resident split forward remainder through
+// the packed recurrent panels. cPrev is ignored for GRU and RNN.
 func (p *dirParams) forwardPrePacked(ps *cell.PackSet[float64], pre, hPrev, cPrev *tensor.Matrix, st *cellSt) {
 	switch p.kind {
 	case LSTM:

@@ -137,9 +137,9 @@ type workspace struct {
 	// inputs which get their own kX32 keys.
 	f32 *f32Space
 
-	// Per-(layer, direction) transposition scratch of the batched dw tasks:
-	// stackP* holds the [G*H x T·rows] gate-gradient stack, stackB* the
-	// [max(in,H) x T·rows] input/state stack. Private to one task each (the
+	// Per-(layer, direction) stacking scratch of the batched dw tasks:
+	// stackP* holds the transposed [G*H x T·rows] gate-gradient stack,
+	// stackB* the [T·rows x max(in,H)] input/state row stack. Private to one task each (the
 	// dw tasks of a layer's two directions serialize on different grad keys),
 	// so they stay unregistered with the dependency sanitizer.
 	stackPFwd, stackPRev []*tensor.Matrix
@@ -349,8 +349,8 @@ func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 			w.dGatesRev[l] = matRow(T, rows, gwR)
 			w.stackPFwd[l] = tensor.New(gwF, K)
 			w.stackPRev[l] = tensor.New(gwR, K)
-			w.stackBFwd[l] = tensor.New(max(inF, H), K)
-			w.stackBRev[l] = tensor.New(max(inR, H), K)
+			w.stackBFwd[l] = tensor.New(K, max(inF, H))
+			w.stackBRev[l] = tensor.New(K, max(inR, H))
 		}
 	}
 	if f32 {

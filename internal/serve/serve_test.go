@@ -498,7 +498,7 @@ func TestServeF32WithinBand(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Model: m, Engines: 1, WorkersPerEngine: 2,
 		BatchWindow: time.Millisecond,
-		InferDType:  tensor.F32, PackPanels: true,
+		InferDType:  tensor.F32,
 	})
 	resp, out := post(t, ts.URL+"/v1/probs", [][][]float64{s})
 	if resp.StatusCode != http.StatusOK {

@@ -160,7 +160,7 @@ func TestQuickRuntimeMatchesRecorderSemantics(t *testing.T) {
 		done := make([]int32, nTasks)
 		violated := make(chan int, nTasks)
 		var clock int32
-		var mu chanLock
+		mu := chanLock{mu: make(chan struct{}, 1)}
 		for i, s := range specs {
 			i := i
 			rt.Submit(&Task{In: s.in, Out: s.out, Fn: func() {
@@ -195,15 +195,12 @@ func TestQuickRuntimeMatchesRecorderSemantics(t *testing.T) {
 	}
 }
 
-// chanLock is a tiny mutex to keep the quick test self-contained.
+// chanLock is a tiny mutex to keep the quick test self-contained. Its
+// channel must be made before the lock is shared: a lazy make inside Lock
+// races between the first two concurrent callers.
 type chanLock struct{ mu chan struct{} }
 
-func (l *chanLock) Lock() {
-	if l.mu == nil {
-		l.mu = make(chan struct{}, 1)
-	}
-	l.mu <- struct{}{}
-}
+func (l *chanLock) Lock()   { l.mu <- struct{}{} }
 func (l *chanLock) Unlock() { <-l.mu }
 
 func TestInlineExecutor(t *testing.T) {

@@ -211,6 +211,10 @@ type Runtime struct {
 
 	global queue
 	local  []queue
+	// readyBuf[w] is worker w's scratch for the successors one completion
+	// readies; execute reuses it so a completion allocates nothing (the
+	// queues copy what they are handed).
+	readyBuf [][]*node
 
 	outstanding atomic.Int64
 	shutdownFlg atomic.Bool
@@ -272,6 +276,7 @@ func New(opts Options) *Runtime {
 		start:    time.Now(),
 		hashSeed: maphash.MakeSeed(),
 		local:    make([]queue, opts.Workers),
+		readyBuf: make([][]*node, opts.Workers),
 	}
 	for i := range r.shards {
 		r.shards[i].m = make(map[Dep]*depEntry)
@@ -633,7 +638,7 @@ func (r *Runtime) execute(n *node, w int) {
 		n.mu.Unlock()
 	}
 
-	var readied []*node
+	readied := r.readyBuf[w][:0]
 	for _, s := range succs {
 		if s.pending.Add(-1) == 0 {
 			readied = append(readied, s)
@@ -649,6 +654,10 @@ func (r *Runtime) execute(n *node, w int) {
 		}
 		// This worker loops and picks one task itself; wake peers for the rest.
 		r.wake(len(readied) - 1)
+		clear(readied)
+		if cap(readied) > cap(r.readyBuf[w]) {
+			r.readyBuf[w] = readied[:0]
+		}
 	}
 	if n.tpl != nil {
 		// The final decrement sees every peer's node timings (each peer's

@@ -311,3 +311,40 @@ func TestReplayWithDepCheckClean(t *testing.T) {
 		}
 	}
 }
+
+// TestReplayAllocsIndependentOfTaskCount pins the steady-state cost of a
+// replayed step: completing a task must not allocate, so the allocations
+// of one Replay+Wait may not grow with the number of tasks in the template.
+// Each template is a chain (every completion readies one successor) feeding
+// a fan-out (one completion readies all the rest).
+func TestReplayAllocsIndependentOfTaskCount(t *testing.T) {
+	build := func(n int) *Template {
+		c := NewCapture()
+		k := key("chain")
+		for i := 0; i < n; i++ {
+			c.Submit(&Task{Label: "chain", InOut: []Dep{k}, Fn: func() {}})
+		}
+		for i := 0; i < n; i++ {
+			c.Submit(&Task{Label: "leaf", In: []Dep{k}, Fn: func() {}})
+		}
+		return c.Freeze()
+	}
+	for _, pol := range []Policy{BreadthFirst, LocalityAware} {
+		r := New(Options{Workers: 2, Policy: pol})
+		allocs := func(n int) float64 {
+			tpl := build(n)
+			return testing.AllocsPerRun(20, func() {
+				r.Replay(tpl)
+				if err := r.Wait(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small, large := allocs(16), allocs(512)
+		r.Shutdown()
+		if large > small {
+			t.Errorf("%v: replay allocates %.0f objects at 1024 tasks, %.0f at 32: completions allocate",
+				pol, large, small)
+		}
+	}
+}

@@ -22,6 +22,10 @@ func GemmTAccCols(dst, a, bT *Matrix, lo int) {
 	guardWRR(dst, a, bT)
 	m, k, n := a.Rows, a.Cols, bT.Rows
 	countGemm(2 * int64(m) * int64(k) * int64(n))
+	if useSIMD && m >= 4 {
+		gemmTColsRowTiles([]*Matrix{dst}, []*Matrix{a}, bT, lo)
+		return
+	}
 	for jj := 0; jj < n; jj += blockN {
 		gemmTColsPanel(dst, a, bT, lo, jj, min(jj+blockN, n))
 	}
@@ -47,12 +51,19 @@ func GemmTAccColsBatch(dsts, as []*Matrix, bT *Matrix, lo int) {
 		return
 	}
 	var flops int64
+	rows, sameK := 0, true
 	for s := range dsts {
 		checkTCols(dsts[s], as[s], bT, lo, "GemmTAccColsBatch")
 		guardWRR(dsts[s], as[s], bT)
 		flops += 2 * int64(as[s].Rows) * int64(as[s].Cols) * int64(bT.Rows)
+		rows += as[s].Rows
+		sameK = sameK && as[s].Cols == as[0].Cols
 	}
 	countGemm(flops)
+	if useSIMD && rows >= 4 && sameK {
+		gemmTColsRowTiles(dsts, as, bT, lo)
+		return
+	}
 	n := bT.Rows
 	for jj := 0; jj < n; jj += blockN {
 		jMax := min(jj+blockN, n)
@@ -76,36 +87,40 @@ func checkTCols[E Elt](dst, a, bT *Mat[E], lo int, name string) {
 // T times per direction. Shared by the single and batched entry points so
 // both accumulate in bitwise-identical order.
 func gemmTColsPanel(dst, a, bT *Matrix, lo, jj, jMax int) {
-	m, k, n, kb := a.Rows, a.Cols, dst.Cols, bT.Cols
+	m, k, n := a.Rows, a.Cols, dst.Cols
 	for ii := 0; ii < m; ii += blockM {
 		iMax := min(ii+blockM, m)
 		for i := ii; i < iMax; i++ {
-			arow := a.Data[i*k : (i+1)*k]
-			drow := dst.Data[i*n:]
-			j := jj
-			for ; j+4 <= jMax; j += 4 {
-				// Re-slicing to len(arow) lets the compiler drop the
-				// per-element bounds checks in the microkernel loop.
-				b0 := bT.Data[j*kb+lo : j*kb+lo+k][:len(arow)]
-				b1 := bT.Data[(j+1)*kb+lo : (j+1)*kb+lo+k][:len(arow)]
-				b2 := bT.Data[(j+2)*kb+lo : (j+2)*kb+lo+k][:len(arow)]
-				b3 := bT.Data[(j+3)*kb+lo : (j+3)*kb+lo+k][:len(arow)]
-				var s0, s1, s2, s3 float64
-				for p, av := range arow {
-					s0 += av * b0[p]
-					s1 += av * b1[p]
-					s2 += av * b2[p]
-					s3 += av * b3[p]
-				}
-				drow[j] += s0
-				drow[j+1] += s1
-				drow[j+2] += s2
-				drow[j+3] += s3
-			}
-			for ; j < jMax; j++ {
-				drow[j] += dot(arow, bT.Data[j*kb+lo:j*kb+lo+k])
-			}
+			tColsRow(dst.Data[i*n:], a.Data[i*k:(i+1)*k], bT, lo, jj, jMax)
 		}
+	}
+}
+
+// tColsRow accumulates drow[j:jMax) += arow * bT[j:jMax, lo:lo+k)^T for one
+// row: four columns at a time from j, then single dot columns.
+func tColsRow(drow, arow []float64, bT *Matrix, lo, j, jMax int) {
+	k, kb := len(arow), bT.Cols
+	for ; j+4 <= jMax; j += 4 {
+		// Re-slicing to len(arow) lets the compiler drop the
+		// per-element bounds checks in the microkernel loop.
+		b0 := bT.Data[j*kb+lo : j*kb+lo+k][:len(arow)]
+		b1 := bT.Data[(j+1)*kb+lo : (j+1)*kb+lo+k][:len(arow)]
+		b2 := bT.Data[(j+2)*kb+lo : (j+2)*kb+lo+k][:len(arow)]
+		b3 := bT.Data[(j+3)*kb+lo : (j+3)*kb+lo+k][:len(arow)]
+		var s0, s1, s2, s3 float64
+		for p, av := range arow {
+			s0 += av * b0[p]
+			s1 += av * b1[p]
+			s2 += av * b2[p]
+			s3 += av * b3[p]
+		}
+		drow[j] += s0
+		drow[j+1] += s1
+		drow[j+2] += s2
+		drow[j+3] += s3
+	}
+	for ; j < jMax; j++ {
+		drow[j] += dot(arow, bT.Data[j*kb+lo:j*kb+lo+k])
 	}
 }
 
@@ -141,6 +156,10 @@ func gemmAColsBlock(dst, a *Matrix, aLo int, b *Matrix, bLo, kk, kMax int) {
 			arow := a.Data[i*a.Cols:]
 			drow := dst.Data[i*n : (i+1)*n]
 			p := kk
+			if g := (kMax - kk) / 4; useSIMD && g > 0 && n > 0 {
+				axpy4(&drow[0], n, &arow[aLo+kk], &b.Data[kk*b.Cols+bLo], uintptr(8*b.Cols), g)
+				p += 4 * g
+			}
 			for ; p+4 <= kMax; p += 4 {
 				a0, a1 := arow[aLo+p], arow[aLo+p+1]
 				a2, a3 := arow[aLo+p+2], arow[aLo+p+3]
@@ -354,6 +373,96 @@ func GemmTAccDstCols(dst *Matrix, dstLo int, a, bT *Matrix) {
 				}
 			}
 		}
+	}
+}
+
+// GemmAccDstCols computes dst[:, dstLo:dstLo+n) += a * b, where a is m x k
+// and b is k x n: the dot form of GemmTAccDstCols with b stored by rows.
+// With a = the gate-gradient panels transposed and stacked [gw x T*batch]
+// and b = the matching inputs (or previous hidden states) stacked by row
+// [T*batch x in] (StackRowsInto, a plain copy), this is the whole sequence's
+// dWx (or dWh) accumulation. Each element is accumulated in a register over
+// k and then added once, in the order of GemmTAccDstCols over b^T: four
+// columns at a time, the last n%4 columns through dot's four-way split. The
+// result is therefore bitwise-equal to GemmTAccDstCols(dst, dstLo, a, b^T).
+func GemmAccDstCols(dst *Matrix, dstLo int, a, b *Matrix) {
+	m, k, n := a.Rows, a.Cols, b.Cols
+	if dst.Rows != m || b.Rows != k || dstLo < 0 || dstLo+n > dst.Cols {
+		panic(fmt.Sprintf("tensor: GemmAccDstCols shape mismatch (dst %dx%d)[:, %d:%d) += a %dx%d * b %dx%d",
+			dst.Rows, dst.Cols, dstLo, dstLo+n, m, k, b.Rows, b.Cols))
+	}
+	guardWRR(dst, a, b)
+	countGemm(2 * int64(m) * int64(k) * int64(n))
+	j0 := 0
+	if useSIMD && k > 0 {
+		j0 = n &^ 15
+		accDstColsTiles(dst, dstLo, a, b)
+	}
+	for i := 0; i < m; i++ {
+		arow := a.Data[i*k : (i+1)*k]
+		drow := dst.Data[i*dst.Cols+dstLo : i*dst.Cols+dstLo+n]
+		j := j0
+		for ; j+4 <= n; j += 4 {
+			var s0, s1, s2, s3 float64
+			for p, av := range arow {
+				bq := b.Data[p*n+j : p*n+j+4]
+				s0 += av * bq[0]
+				s1 += av * bq[1]
+				s2 += av * bq[2]
+				s3 += av * bq[3]
+			}
+			drow[j] += s0
+			drow[j+1] += s1
+			drow[j+2] += s2
+			drow[j+3] += s3
+		}
+		for ; j < n; j++ {
+			drow[j] += dotStrided(arow, b.Data, j, n)
+		}
+	}
+}
+
+// dotStrided is dot over a and the strided vector b[off], b[off+stride],
+// ...: the same four-way split and final s0+s1+s2+s3, so it is bitwise-equal
+// to dot of a and the gathered vector.
+func dotStrided(a, b []float64, off, stride int) float64 {
+	var s0, s1, s2, s3 float64
+	n := len(a)
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		s0 += a[i] * b[off+i*stride]
+		s1 += a[i+1] * b[off+(i+1)*stride]
+		s2 += a[i+2] * b[off+(i+2)*stride]
+		s3 += a[i+3] * b[off+(i+3)*stride]
+	}
+	for ; i < n; i++ {
+		s0 += a[i] * b[off+i*stride]
+	}
+	return s0 + s1 + s2 + s3
+}
+
+// StackRowsInto fills dst [len(srcs)*rows x cols] with the row-wise
+// concatenation of srcs: dst row s*rows+r is srcs[s] row r. It builds the b
+// operand of GemmAccDstCols from a sequence of per-timestep panels. All srcs
+// must share dst.Cols columns and the same row count.
+func StackRowsInto[E Elt](dst *Mat[E], srcs []*Mat[E]) {
+	if len(srcs) == 0 {
+		return
+	}
+	rows := srcs[0].Rows
+	if dst.Rows != len(srcs)*rows {
+		panic(fmt.Sprintf("tensor: StackRowsInto dst %dx%d cannot hold %d stacks of %d rows",
+			dst.Rows, dst.Cols, len(srcs), rows))
+	}
+	guardW(dst)
+	size := rows * dst.Cols
+	for s, src := range srcs {
+		if src.Cols != dst.Cols || src.Rows != rows {
+			panic(fmt.Sprintf("tensor: StackRowsInto operand %d is %dx%d, want %dx%d",
+				s, src.Rows, src.Cols, rows, dst.Cols))
+		}
+		guardR(src)
+		copy(dst.Data[s*size:(s+1)*size], src.Data[:size])
 	}
 }
 

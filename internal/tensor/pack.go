@@ -19,6 +19,14 @@ import "fmt"
 // same quad grouping, same accumulation order, same remainder dot, so packed
 // kernels are bitwise-identical to their unpacked originals per dtype while
 // reading one sequential stream instead of four strided ones.
+//
+// A float64 panel built where the AVX2 kernels run interleaves its leading
+// columns instead, in groups of 16: group g occupies the same span
+// buf[16g*k : 16(g+1)*k] that its columns would, but stores element p of
+// column 16g+c at offset p*16+c, so one dotTile call streams the group's
+// [k x 16] block and produces 16 outputs at once. Columns past the last full
+// group keep the column-major layout and the scalar microkernel. The f32
+// layout is always column-major.
 type PackedPanel[E Elt] struct {
 	// N is the number of packed columns (bT.Rows), K the window width, and
 	// Lo the window start within bT's rows.
@@ -27,6 +35,9 @@ type PackedPanel[E Elt] struct {
 	// to the access-hook sanitizer so reads attribute to the real weights.
 	src *Mat[E]
 	buf []E
+	// groups is the number of leading 16-column interleaved groups; zero
+	// unless E is float64 and useSIMD holds.
+	groups int
 }
 
 // NewPackedPanel packs the column window [lo, lo+k) of bT. The panel holds a
@@ -36,6 +47,9 @@ func NewPackedPanel[E Elt](bT *Mat[E], lo, k int) *PackedPanel[E] {
 		panic(fmt.Sprintf("tensor: NewPackedPanel window [%d,%d) out of range for %d cols", lo, lo+k, bT.Cols))
 	}
 	pp := &PackedPanel[E]{N: bT.Rows, K: k, Lo: lo, src: bT, buf: make([]E, bT.Rows*k)}
+	if _, f64 := any(pp).(*PackedPanel[float64]); f64 && useSIMD && k > 0 {
+		pp.groups = pp.N / 16
+	}
 	pp.Repack()
 	return pp
 }
@@ -52,7 +66,16 @@ func (pp *PackedPanel[E]) Bytes() int { return len(pp.buf) * int(DTypeOf[E]().Si
 func (pp *PackedPanel[E]) Repack() {
 	guardR(pp.src)
 	k, kb := pp.K, pp.src.Cols
-	for j := 0; j < pp.N; j++ {
+	for g := 0; g < pp.groups; g++ {
+		grp := pp.buf[16*g*k : 16*(g+1)*k]
+		for c := 0; c < 16; c++ {
+			col := pp.src.Data[(16*g+c)*kb+pp.Lo : (16*g+c)*kb+pp.Lo+k]
+			for p, v := range col {
+				grp[p*16+c] = v
+			}
+		}
+	}
+	for j := 16 * pp.groups; j < pp.N; j++ {
 		copy(pp.buf[j*k:(j+1)*k], pp.src.Data[j*kb+pp.Lo:j*kb+pp.Lo+k])
 	}
 }
@@ -72,8 +95,18 @@ func GemmTAccColsPacked[E Elt](dst, a *Mat[E], pp *PackedPanel[E]) {
 	guardWRR(dst, a, pp.src)
 	m, k, n := a.Rows, a.Cols, pp.N
 	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
-	for jj := 0; jj < n; jj += blockN {
-		gemmTColsPanelPacked(dst, a, pp, jj, min(jj+blockN, n))
+	gemmTColsPacked(dst, a, pp)
+}
+
+// gemmTColsPacked runs the interleaved groups through gemmTColsGroups and
+// the column-major rest through the scalar microkernel.
+func gemmTColsPacked[E Elt](dst, a *Mat[E], pp *PackedPanel[E]) {
+	j0 := 16 * pp.groups
+	if j0 > 0 {
+		gemmTColsGroups(any(dst).(*Matrix), any(a).(*Matrix), any(pp).(*PackedPanel[float64]))
+	}
+	for jj := j0; jj < pp.N; jj += blockN {
+		gemmTColsPanelPacked(dst, a, pp, jj, min(jj+blockN, pp.N))
 	}
 }
 
@@ -102,7 +135,13 @@ func GemmTAccColsPackedBatch[E Elt](dsts, as []*Mat[E], pp *PackedPanel[E]) {
 		flops += 2 * int64(as[s].Rows) * int64(as[s].Cols) * int64(pp.N)
 	}
 	countGemmOf[E](flops)
-	for jj := 0; jj < pp.N; jj += blockN {
+	j0 := 16 * pp.groups
+	for s := range dsts {
+		if j0 > 0 {
+			gemmTColsGroups(any(dsts[s]).(*Matrix), any(as[s]).(*Matrix), any(pp).(*PackedPanel[float64]))
+		}
+	}
+	for jj := j0; jj < pp.N; jj += blockN {
 		jMax := min(jj+blockN, pp.N)
 		for s := range dsts {
 			gemmTColsPanelPacked(dsts[s], as[s], pp, jj, jMax)
