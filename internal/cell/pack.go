@@ -12,7 +12,8 @@ import "bpar/internal/tensor"
 // Panels copy the weights; after a weight update call Repack. The engine
 // caches one PackSet per (layer, direction) keyed on the model's weight
 // version, so in steady-state inference the packing cost is paid once per
-// model, not per sequence.
+// model, not per sequence. The float64 engine packs only the recurrent
+// windows (Pack*Recurrent, X nil): its input projection reads Wx in place.
 type PackSet[E tensor.Elt] struct {
 	// X packs W[:, 0:In) — the off-chain input projection window.
 	X *tensor.PackedPanel[E]

@@ -239,6 +239,7 @@ func (e *Engine) emitRevCells(ws *workspace, mbIdx, l int, f32 bool) {
 					ws.maskRevState32(l, t)
 				}
 			case ws.split:
+				ps := e.pack64[lR]
 				pre := ws.preRev[l][t]
 				task.Fn = func() {
 					hPrev, cPrev := ws.zeroH, ws.zeroC
@@ -246,7 +247,7 @@ func (e *Engine) emitRevCells(ws *workspace, mbIdx, l int, f32 bool) {
 						hPrev = ws.revSt[l][t+1].H()
 						cPrev = ws.revSt[l][t+1].C()
 					}
-					e.runForwardPre(lR, pre, hPrev, cPrev, ws.revSt[l][t])
+					lR.forwardPrePacked(ps, pre, hPrev, cPrev, ws.revSt[l][t])
 					ws.maskRevState(l, t)
 				}
 			default:
@@ -322,6 +323,7 @@ func (e *Engine) emitFwdCells(ws *workspace, mbIdx, l int, f32 bool) {
 					d32.forward(ws.inputF32(l, t), hPrev, cPrev, ws.f32.fwdSt[l][t])
 				}
 			case ws.split:
+				ps := e.pack64[lF]
 				pre := ws.preFwd[l][t]
 				task.Fn = func() {
 					hPrev, cPrev := ws.zeroH, ws.zeroC
@@ -329,7 +331,7 @@ func (e *Engine) emitFwdCells(ws *workspace, mbIdx, l int, f32 bool) {
 						hPrev = ws.fwdSt[l][t-1].H()
 						cPrev = ws.fwdSt[l][t-1].C()
 					}
-					e.runForwardPre(lF, pre, hPrev, cPrev, ws.fwdSt[l][t])
+					lF.forwardPrePacked(ps, pre, hPrev, cPrev, ws.fwdSt[l][t])
 				}
 			default:
 				task.Fn = func() {

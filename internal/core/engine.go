@@ -153,9 +153,10 @@ type Engine struct {
 
 	// Derived weight caches, each keyed on the model's weight version: the
 	// packed float64 recurrent panels every split-path chain task reads, and
-	// the float32 weight mirror (InferDType == F32). Built and refreshed
-	// host-side by refreshWeightCaches at the entry of a step that reads
-	// them; task bodies only read them.
+	// the float32 weight mirror (InferDType == F32). Built host-side by
+	// refreshWeightCaches at the entry of a step that reads them, before
+	// the step emits or captures its graph, and refreshed in place, so
+	// emitters capture their pointers; task bodies only read them.
 	pack64  map[*dirParams]*cell.PackSet[float64]
 	fm32    map[*dirParams]*dirF32
 	head32W []*tensor.Mat[float32] // one mirror per head
@@ -355,13 +356,6 @@ func (e *Engine) refreshF32() {
 		tensor.ConvertInto(e.head32W[h], e.M.Heads[h].W)
 		tensor.ConvertSlice(e.head32B[h], e.M.Heads[h].B)
 	}
-}
-
-// runForwardPre runs a float64 split chain update through the direction's
-// packed recurrent panel, looked up at task run time: refreshWeightCaches
-// builds it at the entry of the step that replays or emits the task.
-func (e *Engine) runForwardPre(p *dirParams, pre, hPrev, cPrev *tensor.Matrix, st *cellSt) {
-	p.forwardPrePacked(e.pack64[p], pre, hPrev, cPrev, st)
 }
 
 // mbBounds returns the row range of mini-batch i.

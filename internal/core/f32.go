@@ -13,11 +13,10 @@ import (
 // the model's weight version moves (refreshWeightCaches), so checkpoints and
 // the optimizer never see float32 state.
 //
-// On the split path the mirror always carries packed panels — the cache
-// layout optimization is strictly a win at inference and there is no bitwise
-// toggle contract to preserve at float32 (the packed kernels are still
-// bitwise-identical to unpacked per dtype; the fused/split distinction is
-// what changes the summation order).
+// On the split path the mirror carries packed panels for both the input and
+// the recurrent window, in the column-major float32 layout (the packed
+// kernels are bitwise-identical to unpacked per dtype; the fused/split
+// distinction is what changes the summation order).
 
 // dirF32 is the float32 mirror of one direction of one layer.
 type dirF32 struct {

@@ -130,18 +130,6 @@ func (p *dirParams) dims() (in, gw int) {
 	}
 }
 
-// preGates computes the input projection pre = x*Wx^T + B for one timestep.
-func (p *dirParams) preGates(x, pre *tensor.Matrix) {
-	switch p.kind {
-	case LSTM:
-		cell.LSTMPreGates(p.lstm, x, pre)
-	case GRU:
-		cell.GRUPreGates(p.gru, x, pre)
-	default:
-		cell.RNNPreGates(p.rnn, x, pre)
-	}
-}
-
 // preGatesBatch computes pres[s] = xs[s]*Wx^T + B for a tile of timesteps
 // with one batched kernel call, so the Wx panel is streamed from memory once
 // per tile instead of once per timestep.

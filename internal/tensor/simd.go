@@ -62,6 +62,9 @@ func tColsTile(ra, rd [][]float64, bT *Matrix, lo int, xt []float64) {
 			xt[p*w+l] = v
 		}
 	}
+	// The lane sums land in a zeroed buffer first: the sums start at +0 and
+	// so are never -0, which makes +0 + s == s and the scatter below the
+	// scalar drow[j] += s.
 	var acc [16]float64
 	for j := 0; j < n4; j++ {
 		acc = [16]float64{}
@@ -79,20 +82,15 @@ func tColsTile(ra, rd [][]float64, bT *Matrix, lo int, xt []float64) {
 
 // gemmTColsGroups computes the interleaved columns [0, 16*pp.groups) of
 // GemmTAccColsPacked: for each 16-column group and each row of a, one
-// dotTile call broadcasts the row's elements and streams the group's
-// [k x 16] block, then adds the 16 sums into dst like the scalar quads do.
+// dotTile call broadcasts the row's elements, streams the group's [k x 16]
+// block and adds the 16 sums into dst like the scalar quads do.
 func gemmTColsGroups(dst, a *Matrix, pp *PackedPanel[float64]) {
 	k, n := a.Cols, dst.Cols
-	var acc [16]float64
 	for g := 0; g < pp.groups; g++ {
 		y := &pp.buf[g*16*k]
 		for i := 0; i < a.Rows; i++ {
-			acc = [16]float64{}
-			dotTile(&acc[0], &a.Data[i*k], 8, y, 16*8, k, 16)
 			d := dst.Data[i*n+16*g : i*n+16*g+16]
-			for c, v := range acc {
-				d[c] += v
-			}
+			dotTile(&d[0], &a.Data[i*k], 8, y, 16*8, k, 16)
 		}
 	}
 }
@@ -102,15 +100,10 @@ func gemmTColsGroups(dst, a *Matrix, pp *PackedPanel[float64]) {
 // broadcasts a[i, p] and streams the tile's columns of b row by row.
 func accDstColsTiles(dst *Matrix, dstLo int, a, b *Matrix) {
 	m, k, n := a.Rows, a.Cols, b.Cols
-	var acc [16]float64
 	for j := 0; j+16 <= n; j += 16 {
 		for i := 0; i < m; i++ {
-			acc = [16]float64{}
-			dotTile(&acc[0], &a.Data[i*k], 8, &b.Data[j], uintptr(8*n), k, 16)
 			d := dst.Data[i*dst.Cols+dstLo+j : i*dst.Cols+dstLo+j+16]
-			for c, v := range acc {
-				d[c] += v
-			}
+			dotTile(&d[0], &a.Data[i*k], 8, &b.Data[j], uintptr(8*n), k, 16)
 		}
 	}
 }

@@ -39,13 +39,14 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// dotTile computes acc[0:w] += x[p*xs] * y[p*ys : p*ys+w] for p = 0..k-1 in
-// ascending order, where xs and ys are byte strides and w is 4, 8 or 16.
-// Each lane runs the scalar statement s += a*b: one rounded multiply, then
-// one rounded add. k must be positive.
+// dotTile computes d[0:w] += s[0:w], where s[l] is the sum over p =
+// 0..k-1, in ascending order and starting from +0, of x[p*xs] * y[p*ys+l]
+// (xs and ys are byte strides; w is 4, 8 or 16). Each lane runs the scalar
+// dot-form statements s += a*b, one rounded multiply then one rounded add,
+// and then d += s.
 //
 //go:noescape
-func dotTile(acc, x *float64, xs uintptr, y *float64, ys uintptr, k, w int)
+func dotTile(d, x *float64, xs uintptr, y *float64, ys uintptr, k, w int)
 
 // axpy4 applies groups 4-row axpy blocks to d[0:n]: for each group g with
 // coefficients a[4g:4g+4] not all zero, and rows r = b + (4g+q)*bs for

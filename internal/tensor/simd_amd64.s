@@ -21,25 +21,30 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func dotTile(acc, x *float64, xs uintptr, y *float64, ys uintptr, k, w int)
+// func dotTile(d, x *float64, xs uintptr, y *float64, ys uintptr, k, w int)
 //
-// One broadcast of x[p] feeds w/4 multiplies by the row y[p*ys:], each
-// followed by its own add into the lane accumulators: never an FMA, so
-// every lane rounds the product and then the sum, like s += a*b in Go.
+// The lane sums start at +0. One broadcast of x[p] feeds w/4 multiplies by
+// the row y[p*ys:], each followed by its own add into that vector's sums:
+// never an FMA, so every lane rounds the product and then the sum, like
+// s += a*b in Go. The epilogue adds the sums into d, d + s in that order.
 TEXT ·dotTile(SB), NOSPLIT, $0-56
-	MOVQ acc+0(FP), AX
-	MOVQ x+8(FP), SI
-	MOVQ xs+16(FP), R8
-	MOVQ y+24(FP), DI
-	MOVQ ys+32(FP), R9
-	MOVQ k+40(FP), CX
-	MOVQ w+48(FP), DX
-	CMPQ DX, $16
-	JEQ  w16
-	CMPQ DX, $8
-	JEQ  w8
-
-	VMOVUPD (AX), Y0
+	MOVQ   d+0(FP), AX
+	MOVQ   x+8(FP), SI
+	MOVQ   xs+16(FP), R8
+	MOVQ   y+24(FP), DI
+	MOVQ   ys+32(FP), R9
+	MOVQ   k+40(FP), CX
+	MOVQ   w+48(FP), DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	CMPQ   DX, $16
+	JEQ    w16
+	CMPQ   DX, $8
+	JEQ    w8
+	TESTQ  CX, CX
+	JEQ    end4
 
 loop4:
 	VBROADCASTSD (SI), Y4
@@ -49,13 +54,17 @@ loop4:
 	ADDQ         R9, DI
 	DECQ         CX
 	JNZ          loop4
-	VMOVUPD      Y0, (AX)
+
+end4:
+	VMOVUPD (AX), Y9
+	VADDPD  Y0, Y9, Y9
+	VMOVUPD Y9, (AX)
 	VZEROUPPER
 	RET
 
 w8:
-	VMOVUPD (AX), Y0
-	VMOVUPD 32(AX), Y1
+	TESTQ CX, CX
+	JEQ   end8
 
 loop8:
 	VBROADCASTSD (SI), Y4
@@ -67,16 +76,20 @@ loop8:
 	ADDQ         R9, DI
 	DECQ         CX
 	JNZ          loop8
-	VMOVUPD      Y0, (AX)
-	VMOVUPD      Y1, 32(AX)
+
+end8:
+	VMOVUPD (AX), Y9
+	VMOVUPD 32(AX), Y10
+	VADDPD  Y0, Y9, Y9
+	VADDPD  Y1, Y10, Y10
+	VMOVUPD Y9, (AX)
+	VMOVUPD Y10, 32(AX)
 	VZEROUPPER
 	RET
 
 w16:
-	VMOVUPD (AX), Y0
-	VMOVUPD 32(AX), Y1
-	VMOVUPD 64(AX), Y2
-	VMOVUPD 96(AX), Y3
+	TESTQ CX, CX
+	JEQ   end16
 
 loop16:
 	VBROADCASTSD (SI), Y4
@@ -92,10 +105,20 @@ loop16:
 	ADDQ         R9, DI
 	DECQ         CX
 	JNZ          loop16
-	VMOVUPD      Y0, (AX)
-	VMOVUPD      Y1, 32(AX)
-	VMOVUPD      Y2, 64(AX)
-	VMOVUPD      Y3, 96(AX)
+
+end16:
+	VMOVUPD (AX), Y9
+	VMOVUPD 32(AX), Y10
+	VMOVUPD 64(AX), Y11
+	VMOVUPD 96(AX), Y12
+	VADDPD  Y0, Y9, Y9
+	VADDPD  Y1, Y10, Y10
+	VADDPD  Y2, Y11, Y11
+	VADDPD  Y3, Y12, Y12
+	VMOVUPD Y9, (AX)
+	VMOVUPD Y10, 32(AX)
+	VMOVUPD Y11, 64(AX)
+	VMOVUPD Y12, 96(AX)
 	VZEROUPPER
 	RET
 

@@ -8,7 +8,7 @@ package tensor
 // scalar Go form.
 const useSIMD = false
 
-func dotTile(acc, x *float64, xs uintptr, y *float64, ys uintptr, k, w int) {
+func dotTile(d, x *float64, xs uintptr, y *float64, ys uintptr, k, w int) {
 	panic("tensor: dotTile without SIMD support")
 }
 
