@@ -136,10 +136,10 @@ func emitDWStacked(rt *taskrt.Runtime, ws *fixWS, panels []*tensor.Matrix) {
 		Label: "bad-dw",
 		In:    []taskrt.Dep{ws.kPre},
 		Fn: func() {
-			tensor.TransposeStackInto(ws.stackP, panels)               // unmapped scratch: no diagnostic
-			tensor.GemmTAccDstCols(ws.dGates, 0, ws.stackP, ws.stackP) // want "task \"bad-dw\" writes ws.dGates"
-			tensor.StackRowsInto(ws.stackP, panels)                    // unmapped scratch: no diagnostic
-			tensor.GemmAccDstCols(ws.dGates, 0, ws.stackP, ws.stackP)  // want "task \"bad-dw\" writes ws.dGates"
+			tensor.TransposeStackInto(ws.stackP, panels)                      // unmapped scratch: no diagnostic
+			tensor.GemmTAccDstCols(ws.dGates, 0, ws.stackP, ws.stackP)        // want "task \"bad-dw\" writes ws.dGates"
+			tensor.StackRowsInto(ws.stackP, panels)                           // unmapped scratch: no diagnostic
+			tensor.GemmATAccDstCols(ws.dGates, 0, ws.stackP, 0, 4, ws.stackP) // want "task \"bad-dw\" writes ws.dGates"
 		},
 	})
 }

@@ -67,7 +67,7 @@ func seedSummaries() map[string]*mutSummary {
 		// resolves only when the slice itself roots at a key-mapped field
 		// (append-built locals stay conservatively silent).
 		"MatMulCols", "MatMulTCols", "GemmAccCols", "GemmTAccCols",
-		"GemmATAccCols", "GemmTAccDstCols", "GemmAccDstCols",
+		"GemmATAccCols", "GemmTAccDstCols", "GemmATAccDstCols",
 		"TransposeStackInto", "StackRowsInto",
 		"GemmTAccColsBatch", "GemmAccColsBatch", "GemmATAccColsBatch",
 		"CopyColsInto",

@@ -11,11 +11,10 @@
 // chain too: the chain task only emits its pre-activation gate-gradient panel
 // and dHPrev, and one batched task per (layer, direction) folds the whole
 // sequence of panels into the weight and bias gradients afterwards. The
-// batched task transposes the panel sequence into one contiguous stack
-// (tensor.TransposeStackInto) and copies the input/state sequences into
-// row stacks (tensor.StackRowsInto), so both weight-gradient halves run as
-// dot-form GEMMs (tensor.GemmAccDstCols) — register accumulation over the
-// stacked K = seq·batch dimension instead of read-modify-writing the weight
+// batched task copies the panel, input and state sequences into row stacks
+// (tensor.StackRowsInto), so both weight-gradient halves run as dot-form
+// GEMMs (tensor.GemmATAccDstCols) — register accumulation over the stacked
+// K = seq·batch dimension instead of read-modify-writing the weight
 // gradient once per timestep.
 package cell
 
@@ -73,22 +72,24 @@ func LSTMBackwardPre(w *LSTMWeights, st *LSTMState, hPrev, cPrev, dH, dC, dGates
 //
 // panels[t], xs[t] and hPrevs[t] are timestep t's gate-gradient panel, layer
 // input and previous hidden state (the caller passes its zero matrix at the
-// chain boundary). stackP ([4H x K]) and stackB (K·max(In,H) elements, with
-// K = len(panels)·batch) are caller-owned stacking scratch, so the kernel
-// allocates nothing but two matrix headers. Both GEMMs accumulate in
+// chain boundary). stackP (K·4H elements) and stackB (K·max(In,H)
+// elements, with K = len(panels)·batch) are caller-owned stacking scratch,
+// so the kernel allocates nothing but matrix headers. Both GEMMs accumulate in
 // registers over the stacked K dimension; the summation order (t ascending,
 // batch row ascending) is fixed, keeping parallel training bitwise
 // deterministic.
 func LSTMDWBatch(w *LSTMWeights, grads *LSTMGrads, panels, xs, hPrevs []*tensor.Matrix, stackP, stackB *tensor.Matrix) {
 	dwBiasSum(grads.DB, panels)
-	tensor.TransposeStackInto(stackP, panels)
-	k := stackP.Cols
+	gw := w.W.Rows
+	k := len(panels) * panels[0].Rows
+	pS := &tensor.Matrix{Rows: k, Cols: gw, Data: stackP.Data[:k*gw]}
+	tensor.StackRowsInto(pS, panels)
 	xS := &tensor.Matrix{Rows: k, Cols: w.InputSize, Data: stackB.Data[:k*w.InputSize]}
 	tensor.StackRowsInto(xS, xs)
-	tensor.GemmAccDstCols(grads.DW, 0, stackP, xS)
+	tensor.GemmATAccDstCols(grads.DW, 0, pS, 0, gw, xS)
 	hS := &tensor.Matrix{Rows: k, Cols: w.HiddenSize, Data: stackB.Data[:k*w.HiddenSize]}
 	tensor.StackRowsInto(hS, hPrevs)
-	tensor.GemmAccDstCols(grads.DW, w.InputSize, stackP, hS)
+	tensor.GemmATAccDstCols(grads.DW, w.InputSize, pS, 0, gw, hS)
 }
 
 // dwBiasSum adds every panel's row sums into db, t ascending then batch row
@@ -224,19 +225,18 @@ func GRUDWBatch(w *GRUWeights, grads *GRUGrads, panels, xs, hPrevs, rhs []*tenso
 	H := w.HiddenSize
 	In := w.InputSize
 	dwBiasSum(grads.DB, panels)
-	tensor.TransposeStackInto(stackP, panels)
-	k := stackP.Cols
+	k := len(panels) * panels[0].Rows
+	pS := &tensor.Matrix{Rows: k, Cols: gruGates * H, Data: stackP.Data[:k*gruGates*H]}
+	tensor.StackRowsInto(pS, panels)
 	xS := &tensor.Matrix{Rows: k, Cols: In, Data: stackB.Data[:k*In]}
 	tensor.StackRowsInto(xS, xs)
-	tensor.GemmAccDstCols(grads.DW, 0, stackP, xS)
+	tensor.GemmATAccDstCols(grads.DW, 0, pS, 0, gruGates*H, xS)
 
-	pZR := &tensor.Matrix{Rows: 2 * H, Cols: k, Data: stackP.Data[:2*H*k]}
-	pH := &tensor.Matrix{Rows: H, Cols: k, Data: stackP.Data[2*H*k:]}
 	hS := &tensor.Matrix{Rows: k, Cols: H, Data: stackB.Data[:k*H]}
 	tensor.StackRowsInto(hS, hPrevs)
-	tensor.GemmAccDstCols(grads.viewDZR(), In, pZR, hS)
+	tensor.GemmATAccDstCols(grads.viewDZR(), In, pS, 0, 2*H, hS)
 	tensor.StackRowsInto(hS, rhs)
-	tensor.GemmAccDstCols(grads.viewDH(), In, pH, hS)
+	tensor.GemmATAccDstCols(grads.viewDH(), In, pS, 2*H, gruGates*H, hS)
 }
 
 // --- RNN ---
@@ -291,14 +291,16 @@ func RNNBackwardPre(w *RNNWeights, st *RNNState, hPrev, dH, dPre, dX, dHPrev *te
 // RNNDWBatch is the RNN analog of LSTMDWBatch (one gate block, H wide).
 func RNNDWBatch(w *RNNWeights, grads *RNNGrads, panels, xs, hPrevs []*tensor.Matrix, stackP, stackB *tensor.Matrix) {
 	dwBiasSum(grads.DB, panels)
-	tensor.TransposeStackInto(stackP, panels)
-	k := stackP.Cols
+	gw := w.W.Rows
+	k := len(panels) * panels[0].Rows
+	pS := &tensor.Matrix{Rows: k, Cols: gw, Data: stackP.Data[:k*gw]}
+	tensor.StackRowsInto(pS, panels)
 	xS := &tensor.Matrix{Rows: k, Cols: w.InputSize, Data: stackB.Data[:k*w.InputSize]}
 	tensor.StackRowsInto(xS, xs)
-	tensor.GemmAccDstCols(grads.DW, 0, stackP, xS)
+	tensor.GemmATAccDstCols(grads.DW, 0, pS, 0, gw, xS)
 	hS := &tensor.Matrix{Rows: k, Cols: w.HiddenSize, Data: stackB.Data[:k*w.HiddenSize]}
 	tensor.StackRowsInto(hS, hPrevs)
-	tensor.GemmAccDstCols(grads.DW, w.InputSize, stackP, hS)
+	tensor.GemmATAccDstCols(grads.DW, w.InputSize, pS, 0, gw, hS)
 }
 
 // ProjFlops estimates one timestep's input-projection flops for a gate panel

@@ -138,8 +138,8 @@ type workspace struct {
 	f32 *f32Space
 
 	// Per-(layer, direction) stacking scratch of the batched dw tasks:
-	// stackP* holds the transposed [G*H x T·rows] gate-gradient stack,
-	// stackB* the [T·rows x max(in,H)] input/state row stack. Private to one task each (the
+	// stackP* holds the [T·rows x G*H] gate-gradient row stack, stackB*
+	// the [T·rows x max(in,H)] input/state row stack. Private to one task each (the
 	// dw tasks of a layer's two directions serialize on different grad keys),
 	// so they stay unregistered with the dependency sanitizer.
 	stackPFwd, stackPRev []*tensor.Matrix
@@ -347,8 +347,8 @@ func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 			w.dGatesFwd[l] = matRow(T, rows, gwF)
 			w.preRev[l] = matRow(T, rows, gwR)
 			w.dGatesRev[l] = matRow(T, rows, gwR)
-			w.stackPFwd[l] = tensor.New(gwF, K)
-			w.stackPRev[l] = tensor.New(gwR, K)
+			w.stackPFwd[l] = tensor.New(K, gwF)
+			w.stackPRev[l] = tensor.New(K, gwR)
 			w.stackBFwd[l] = tensor.New(K, max(inF, H))
 			w.stackBRev[l] = tensor.New(K, max(inR, H))
 		}

@@ -376,35 +376,38 @@ func GemmTAccDstCols(dst *Matrix, dstLo int, a, bT *Matrix) {
 	}
 }
 
-// GemmAccDstCols computes dst[:, dstLo:dstLo+n) += a * b, where a is m x k
-// and b is k x n: the dot form of GemmTAccDstCols with b stored by rows.
-// With a = the gate-gradient panels transposed and stacked [gw x T*batch]
-// and b = the matching inputs (or previous hidden states) stacked by row
-// [T*batch x in] (StackRowsInto, a plain copy), this is the whole sequence's
-// dWx (or dWh) accumulation. Each element is accumulated in a register over
-// k and then added once, in the order of GemmTAccDstCols over b^T: four
-// columns at a time, the last n%4 columns through dot's four-way split. The
-// result is therefore bitwise-equal to GemmTAccDstCols(dst, dstLo, a, b^T).
-func GemmAccDstCols(dst *Matrix, dstLo int, a, b *Matrix) {
-	m, k, n := a.Rows, a.Cols, b.Cols
-	if dst.Rows != m || b.Rows != k || dstLo < 0 || dstLo+n > dst.Cols {
-		panic(fmt.Sprintf("tensor: GemmAccDstCols shape mismatch (dst %dx%d)[:, %d:%d) += a %dx%d * b %dx%d",
-			dst.Rows, dst.Cols, dstLo, dstLo+n, m, k, b.Rows, b.Cols))
+// GemmATAccDstCols computes dst[:, dstLo:dstLo+n) += a[:, aLo:aHi)^T * b,
+// where a is k x ma, b is k x n and dst has aHi-aLo rows. With a = the
+// gate-gradient panels and b = the matching inputs (or previous hidden
+// states), each stacked by row [T*batch x width] (StackRowsInto, a plain
+// copy), this is the whole sequence's dWx (or dWh) accumulation.
+//
+// It is the dot form of GemmATAccCols: each element is accumulated in a
+// register over k and then added once, in the order of GemmTAccDstCols over
+// the transposed operands — four columns at a time, the last n%4 columns
+// through dot's four-way split, no zero-skip. The result is therefore
+// bitwise-equal to GemmTAccDstCols(dst, dstLo, a[:, aLo:aHi)^T, b^T), not
+// to GemmATAccCols.
+func GemmATAccDstCols(dst *Matrix, dstLo int, a *Matrix, aLo, aHi int, b *Matrix) {
+	m, k, n := aHi-aLo, a.Rows, b.Cols
+	if aLo < 0 || aHi > a.Cols || m < 0 || b.Rows != k || dst.Rows != m || dstLo < 0 || dstLo+n > dst.Cols {
+		panic(fmt.Sprintf("tensor: GemmATAccDstCols shape mismatch (dst %dx%d)[:, %d:%d) += ((a %dx%d)[:, %d:%d))^T * b %dx%d",
+			dst.Rows, dst.Cols, dstLo, dstLo+n, a.Rows, a.Cols, aLo, aHi, b.Rows, b.Cols))
 	}
 	guardWRR(dst, a, b)
 	countGemm(2 * int64(m) * int64(k) * int64(n))
 	j0 := 0
 	if useSIMD && k > 0 {
 		j0 = n &^ 15
-		accDstColsTiles(dst, dstLo, a, b)
+		atDstColsTiles(dst, dstLo, a, aLo, aHi, b)
 	}
 	for i := 0; i < m; i++ {
-		arow := a.Data[i*k : (i+1)*k]
 		drow := dst.Data[i*dst.Cols+dstLo : i*dst.Cols+dstLo+n]
 		j := j0
 		for ; j+4 <= n; j += 4 {
 			var s0, s1, s2, s3 float64
-			for p, av := range arow {
+			for p := 0; p < k; p++ {
+				av := a.Data[p*a.Cols+aLo+i]
 				bq := b.Data[p*n+j : p*n+j+4]
 				s0 += av * bq[0]
 				s1 += av * bq[1]
@@ -417,33 +420,32 @@ func GemmAccDstCols(dst *Matrix, dstLo int, a, b *Matrix) {
 			drow[j+3] += s3
 		}
 		for ; j < n; j++ {
-			drow[j] += dotStrided(arow, b.Data, j, n)
+			drow[j] += dotStrided(a.Data, aLo+i, a.Cols, b.Data, j, n, k)
 		}
 	}
 }
 
-// dotStrided is dot over a and the strided vector b[off], b[off+stride],
-// ...: the same four-way split and final s0+s1+s2+s3, so it is bitwise-equal
-// to dot of a and the gathered vector.
-func dotStrided(a, b []float64, off, stride int) float64 {
+// dotStrided is dot over the k-element strided vectors a[ao], a[ao+as], ...
+// and b[bo], b[bo+bs], ...: the same four-way split and final
+// s0+s1+s2+s3, so it is bitwise-equal to dot of the two gathered vectors.
+func dotStrided(a []float64, ao, as int, b []float64, bo, bs, k int) float64 {
 	var s0, s1, s2, s3 float64
-	n := len(a)
 	i := 0
-	for ; i+4 <= n; i += 4 {
-		s0 += a[i] * b[off+i*stride]
-		s1 += a[i+1] * b[off+(i+1)*stride]
-		s2 += a[i+2] * b[off+(i+2)*stride]
-		s3 += a[i+3] * b[off+(i+3)*stride]
+	for ; i+4 <= k; i += 4 {
+		s0 += a[ao+i*as] * b[bo+i*bs]
+		s1 += a[ao+(i+1)*as] * b[bo+(i+1)*bs]
+		s2 += a[ao+(i+2)*as] * b[bo+(i+2)*bs]
+		s3 += a[ao+(i+3)*as] * b[bo+(i+3)*bs]
 	}
-	for ; i < n; i++ {
-		s0 += a[i] * b[off+i*stride]
+	for ; i < k; i++ {
+		s0 += a[ao+i*as] * b[bo+i*bs]
 	}
 	return s0 + s1 + s2 + s3
 }
 
 // StackRowsInto fills dst [len(srcs)*rows x cols] with the row-wise
-// concatenation of srcs: dst row s*rows+r is srcs[s] row r. It builds the b
-// operand of GemmAccDstCols from a sequence of per-timestep panels. All srcs
+// concatenation of srcs: dst row s*rows+r is srcs[s] row r. It builds the
+// operands of GemmATAccDstCols from a sequence of per-timestep panels. All srcs
 // must share dst.Cols columns and the same row count.
 func StackRowsInto[E Elt](dst *Mat[E], srcs []*Mat[E]) {
 	if len(srcs) == 0 {

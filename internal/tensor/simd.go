@@ -95,15 +95,16 @@ func gemmTColsGroups(dst, a *Matrix, pp *PackedPanel[float64]) {
 	}
 }
 
-// accDstColsTiles computes the 16-column tiles [0, n&^15) of
-// GemmAccDstCols: for each tile and each row i of a, one dotTile call
-// broadcasts a[i, p] and streams the tile's columns of b row by row.
-func accDstColsTiles(dst *Matrix, dstLo int, a, b *Matrix) {
-	m, k, n := a.Rows, a.Cols, b.Cols
+// atDstColsTiles computes the 16-column tiles [0, n&^15) of
+// GemmATAccDstCols: for each tile and each destination row i, one dotTile
+// call broadcasts column aLo+i of a, striding down its rows, and streams
+// the tile's columns of b row by row.
+func atDstColsTiles(dst *Matrix, dstLo int, a *Matrix, aLo, aHi int, b *Matrix) {
+	k, n := a.Rows, b.Cols
 	for j := 0; j+16 <= n; j += 16 {
-		for i := 0; i < m; i++ {
+		for i := 0; i < aHi-aLo; i++ {
 			d := dst.Data[i*dst.Cols+dstLo+j : i*dst.Cols+dstLo+j+16]
-			dotTile(&d[0], &a.Data[i*k], 8, &b.Data[j], uintptr(8*n), k, 16)
+			dotTile(&d[0], &a.Data[aLo+i], uintptr(8*a.Cols), &b.Data[j], uintptr(8*n), k, 16)
 		}
 	}
 }

@@ -42,7 +42,8 @@ func sameBits(a, b []float64) bool {
 //     gemmTAccColsG / gemmTAccColsBatchG;
 //   - GemmAccCols / GemmAccColsBatch (dHPrev and dX, axpy4) against
 //     gemmAccColsG / gemmAccColsBatchG, with all-zero 4-row groups;
-//   - GemmAccDstCols (dW) against gemmTAccDstColsG on the transposed b.
+//   - GemmATAccDstCols (dW) against gemmTAccDstColsG on the transposed
+//     operands.
 //
 // Shapes span rows 1..17, k 0..70 and n 1..80 with column windows at
 // lo > 0. special is read in 4-byte records (operand, position hi/lo, value
@@ -96,8 +97,9 @@ func checkSIMDKernels(t *testing.T, m, k, n, lo, S int, zeroGroups uint8, seed u
 	}
 	reg(w)
 	reg(gs...)
-	// dW operands: a (m x k) times b (k x n), into a window of dst.
-	da, db := fill(m, k), fill(k, n)
+	// dW operands: the window [lo, lo+m) of a (k x lo+m+2), transposed,
+	// times b (k x n), into a window of dst.
+	da, db := fill(k, lo+m+2), fill(k, n)
 	reg(da, db)
 
 	for i := 0; i+4 <= len(special); i += 4 {
@@ -169,9 +171,9 @@ func checkSIMDKernels(t *testing.T, m, k, n, lo, S int, zeroGroups uint8, seed u
 	check("GemmAccColsBatch", got, want)
 
 	got, want = dsts(m, lo+n+1)
-	GemmAccDstCols(got[0], lo, da, db)
-	gemmTAccDstColsG(want[0], lo, da, db.Transpose())
-	check("GemmAccDstCols", got[:1], want[:1])
+	GemmATAccDstCols(got[0], lo, da, lo, lo+m, db)
+	gemmTAccDstColsG(want[0], lo, subCols(da, lo, lo+m).Transpose(), db.Transpose())
+	check("GemmATAccDstCols", got[:1], want[:1])
 }
 
 // TestSIMDKernelShapes runs the fuzz body's comparisons over a fixed grid
