@@ -63,6 +63,26 @@ func LSTMBackwardPre(w *LSTMWeights, st *LSTMState, hPrev, cPrev, dH, dC, dGates
 	tensor.MatMulCols(dHPrev, dGates, 0, lstmGates*H, w.W, w.InputSize)
 }
 
+// DWScratch is the row-stacking scratch of one batched weight-gradient
+// task: P holds the gate-gradient panels [K x G*H], X the layer inputs
+// [K x In] and H the previous hidden states (and, for the GRU, the cached
+// r⊙hPrev panels in turn) [K x H], with K = seq·batch. X and H share one
+// buffer. The headers are built once, so a dw task allocates nothing.
+type DWScratch struct {
+	P, X, H *tensor.Matrix
+}
+
+// NewDWScratch allocates the scratch of a dw task over k stacked rows with
+// gate width gw, input width in and hidden width h.
+func NewDWScratch(k, gw, in, h int) *DWScratch {
+	buf := make([]float64, k*max(in, h))
+	return &DWScratch{
+		P: tensor.New(k, gw),
+		X: &tensor.Matrix{Rows: k, Cols: in, Data: buf[:k*in]},
+		H: &tensor.Matrix{Rows: k, Cols: h, Data: buf[:k*h]},
+	}
+}
+
 // LSTMDWBatch folds a whole sequence of deferred gate-gradient panels into
 // the weight and bias gradients:
 //
@@ -72,24 +92,18 @@ func LSTMBackwardPre(w *LSTMWeights, st *LSTMState, hPrev, cPrev, dH, dC, dGates
 //
 // panels[t], xs[t] and hPrevs[t] are timestep t's gate-gradient panel, layer
 // input and previous hidden state (the caller passes its zero matrix at the
-// chain boundary). stackP (K·4H elements) and stackB (K·max(In,H)
-// elements, with K = len(panels)·batch) are caller-owned stacking scratch,
-// so the kernel allocates nothing but matrix headers. Both GEMMs accumulate in
-// registers over the stacked K dimension; the summation order (t ascending,
-// batch row ascending) is fixed, keeping parallel training bitwise
-// deterministic.
-func LSTMDWBatch(w *LSTMWeights, grads *LSTMGrads, panels, xs, hPrevs []*tensor.Matrix, stackP, stackB *tensor.Matrix) {
+// chain boundary); sc is the caller-owned stacking scratch. Both GEMMs
+// accumulate in registers over the stacked K dimension; the summation order
+// (t ascending, batch row ascending) is fixed, keeping parallel training
+// bitwise deterministic.
+func LSTMDWBatch(w *LSTMWeights, grads *LSTMGrads, panels, xs, hPrevs []*tensor.Matrix, sc *DWScratch) {
 	dwBiasSum(grads.DB, panels)
 	gw := w.W.Rows
-	k := len(panels) * panels[0].Rows
-	pS := &tensor.Matrix{Rows: k, Cols: gw, Data: stackP.Data[:k*gw]}
-	tensor.StackRowsInto(pS, panels)
-	xS := &tensor.Matrix{Rows: k, Cols: w.InputSize, Data: stackB.Data[:k*w.InputSize]}
-	tensor.StackRowsInto(xS, xs)
-	tensor.GemmATAccDstCols(grads.DW, 0, pS, 0, gw, xS)
-	hS := &tensor.Matrix{Rows: k, Cols: w.HiddenSize, Data: stackB.Data[:k*w.HiddenSize]}
-	tensor.StackRowsInto(hS, hPrevs)
-	tensor.GemmATAccDstCols(grads.DW, w.InputSize, pS, 0, gw, hS)
+	tensor.StackRowsInto(sc.P, panels)
+	tensor.StackRowsInto(sc.X, xs)
+	tensor.GemmATAccDstCols(grads.DW, 0, sc.P, 0, gw, sc.X)
+	tensor.StackRowsInto(sc.H, hPrevs)
+	tensor.GemmATAccDstCols(grads.DW, w.InputSize, sc.P, 0, gw, sc.H)
 }
 
 // dwBiasSum adds every panel's row sums into db, t ascending then batch row
@@ -216,27 +230,22 @@ func GRUBackwardPre(w *GRUWeights, st *GRUState, hPrev, dH, dGates, dX, dHPrev *
 }
 
 // GRUDWBatch is the GRU analog of LSTMDWBatch. The input half is one GEMM
-// over the full [3H x K] panel stack, but the recurrent half splits by gate
-// row block: the z/r rows multiplied hPrev in the forward pass while the
+// over the full [K x 3H] panel stack, but the recurrent half splits by gate
+// column block: the z/r rows multiplied hPrev in the forward pass while the
 // candidate rows multiplied r⊙hPrev, so rhs[t] must carry timestep t's
-// cached RH panel (GRUState.RH). stackB is reused for the x, hPrev and RH
-// row stacks in turn.
-func GRUDWBatch(w *GRUWeights, grads *GRUGrads, panels, xs, hPrevs, rhs []*tensor.Matrix, stackP, stackB *tensor.Matrix) {
+// cached RH panel (GRUState.RH). sc.H is reused for the hPrev and RH stacks
+// in turn.
+func GRUDWBatch(w *GRUWeights, grads *GRUGrads, panels, xs, hPrevs, rhs []*tensor.Matrix, sc *DWScratch) {
 	H := w.HiddenSize
 	In := w.InputSize
 	dwBiasSum(grads.DB, panels)
-	k := len(panels) * panels[0].Rows
-	pS := &tensor.Matrix{Rows: k, Cols: gruGates * H, Data: stackP.Data[:k*gruGates*H]}
-	tensor.StackRowsInto(pS, panels)
-	xS := &tensor.Matrix{Rows: k, Cols: In, Data: stackB.Data[:k*In]}
-	tensor.StackRowsInto(xS, xs)
-	tensor.GemmATAccDstCols(grads.DW, 0, pS, 0, gruGates*H, xS)
-
-	hS := &tensor.Matrix{Rows: k, Cols: H, Data: stackB.Data[:k*H]}
-	tensor.StackRowsInto(hS, hPrevs)
-	tensor.GemmATAccDstCols(grads.viewDZR(), In, pS, 0, 2*H, hS)
-	tensor.StackRowsInto(hS, rhs)
-	tensor.GemmATAccDstCols(grads.viewDH(), In, pS, 2*H, gruGates*H, hS)
+	tensor.StackRowsInto(sc.P, panels)
+	tensor.StackRowsInto(sc.X, xs)
+	tensor.GemmATAccDstCols(grads.DW, 0, sc.P, 0, gruGates*H, sc.X)
+	tensor.StackRowsInto(sc.H, hPrevs)
+	tensor.GemmATAccDstCols(grads.viewDZR(), In, sc.P, 0, 2*H, sc.H)
+	tensor.StackRowsInto(sc.H, rhs)
+	tensor.GemmATAccDstCols(grads.viewDH(), In, sc.P, 2*H, gruGates*H, sc.H)
 }
 
 // --- RNN ---
@@ -289,18 +298,14 @@ func RNNBackwardPre(w *RNNWeights, st *RNNState, hPrev, dH, dPre, dX, dHPrev *te
 }
 
 // RNNDWBatch is the RNN analog of LSTMDWBatch (one gate block, H wide).
-func RNNDWBatch(w *RNNWeights, grads *RNNGrads, panels, xs, hPrevs []*tensor.Matrix, stackP, stackB *tensor.Matrix) {
+func RNNDWBatch(w *RNNWeights, grads *RNNGrads, panels, xs, hPrevs []*tensor.Matrix, sc *DWScratch) {
 	dwBiasSum(grads.DB, panels)
 	gw := w.W.Rows
-	k := len(panels) * panels[0].Rows
-	pS := &tensor.Matrix{Rows: k, Cols: gw, Data: stackP.Data[:k*gw]}
-	tensor.StackRowsInto(pS, panels)
-	xS := &tensor.Matrix{Rows: k, Cols: w.InputSize, Data: stackB.Data[:k*w.InputSize]}
-	tensor.StackRowsInto(xS, xs)
-	tensor.GemmATAccDstCols(grads.DW, 0, pS, 0, gw, xS)
-	hS := &tensor.Matrix{Rows: k, Cols: w.HiddenSize, Data: stackB.Data[:k*w.HiddenSize]}
-	tensor.StackRowsInto(hS, hPrevs)
-	tensor.GemmATAccDstCols(grads.DW, w.InputSize, pS, 0, gw, hS)
+	tensor.StackRowsInto(sc.P, panels)
+	tensor.StackRowsInto(sc.X, xs)
+	tensor.GemmATAccDstCols(grads.DW, 0, sc.P, 0, gw, sc.X)
+	tensor.StackRowsInto(sc.H, hPrevs)
+	tensor.GemmATAccDstCols(grads.DW, w.InputSize, sc.P, 0, gw, sc.H)
 }
 
 // ProjFlops estimates one timestep's input-projection flops for a gate panel

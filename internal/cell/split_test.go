@@ -136,9 +136,7 @@ func TestLSTMSplitMatchesFused(t *testing.T) {
 				t.Fatalf("shape %v t=%d: deferred panel differs from dX-mode panel", d, s)
 			}
 		}
-		stackP := tensor.New(lstmGates*h, T*batch)
-		stackB := tensor.New(max(in, h), T*batch)
-		LSTMDWBatch(w, gD, panelsD, xs, hPrevs, stackP, stackB)
+		LSTMDWBatch(w, gD, panelsD, xs, hPrevs, NewDWScratch(T*batch, lstmGates*h, in, h))
 		if df := gF.DW.MaxAbsDiff(gD.DW); df > splitTol {
 			t.Fatalf("shape %v: deferred DW diff %g", d, df)
 		}
@@ -245,9 +243,7 @@ func TestGRUSplitMatchesFused(t *testing.T) {
 				t.Fatalf("shape %v t=%d: deferred panel differs from dX-mode panel", d, s)
 			}
 		}
-		stackP := tensor.New(gruGates*h, T*batch)
-		stackB := tensor.New(max(in, h), T*batch)
-		GRUDWBatch(w, gD, panelsD, xs, hPrevs, rhs, stackP, stackB)
+		GRUDWBatch(w, gD, panelsD, xs, hPrevs, rhs, NewDWScratch(T*batch, gruGates*h, in, h))
 		if df := gF.DW.MaxAbsDiff(gD.DW); df > splitTol {
 			t.Fatalf("shape %v: deferred DW diff %g", d, df)
 		}
@@ -351,9 +347,7 @@ func TestRNNSplitMatchesFused(t *testing.T) {
 				t.Fatalf("shape %v t=%d: deferred panel differs from dX-mode panel", d, s)
 			}
 		}
-		stackP := tensor.New(h, T*batch)
-		stackB := tensor.New(max(in, h), T*batch)
-		RNNDWBatch(w, gD, panelsD, xs, hPrevs, stackP, stackB)
+		RNNDWBatch(w, gD, panelsD, xs, hPrevs, NewDWScratch(T*batch, h, in, h))
 		if df := gF.DW.MaxAbsDiff(gD.DW); df > splitTol {
 			t.Fatalf("shape %v: deferred DW diff %g", d, df)
 		}

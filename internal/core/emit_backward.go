@@ -249,11 +249,11 @@ func (e *Engine) emitDW(ws *workspace, mbIdx, l int, rev bool) {
 	if !ws.phantom {
 		panels, grads := ws.dGatesFwd[l], ws.gradsFwd[l]
 		sts := ws.fwdSt[l]
-		stackP, stackB := ws.stackPFwd[l], ws.stackBFwd[l]
+		sc := ws.dwFwd[l]
 		if rev {
 			panels, grads = ws.dGatesRev[l], ws.gradsRev[l]
 			sts = ws.revSt[l]
-			stackP, stackB = ws.stackPRev[l], ws.stackBRev[l]
+			sc = ws.dwRev[l]
 		}
 		xs := make([]*tensor.Matrix, T)
 		hPrevs := make([]*tensor.Matrix, T)
@@ -278,7 +278,7 @@ func (e *Engine) emitDW(ws *workspace, mbIdx, l int, rev bool) {
 			for t := range xs {
 				xs[t] = ws.input(l, t)
 			}
-			p.dwBatch(grads, panels, xs, hPrevs, rhs, stackP, stackB)
+			p.dwBatch(grads, panels, xs, hPrevs, rhs, sc)
 		}
 	}
 	e.Exec.Submit(task)

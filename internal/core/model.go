@@ -167,15 +167,15 @@ func (p *dirParams) dxBatch(dsts, panels []*tensor.Matrix) {
 // dwBatch folds the direction's whole-sequence gate-gradient panels into the
 // weight and bias gradients — the body of the batched off-chain dw task. rhs
 // is the GRU candidate path's cached r⊙hPrev sequence and ignored for the
-// other cells; stackP/stackB are the workspace's transposition scratch.
-func (p *dirParams) dwBatch(g *dirGrads, panels, xs, hPrevs, rhs []*tensor.Matrix, stackP, stackB *tensor.Matrix) {
+// other cells; sc is the workspace's row-stacking scratch.
+func (p *dirParams) dwBatch(g *dirGrads, panels, xs, hPrevs, rhs []*tensor.Matrix, sc *cell.DWScratch) {
 	switch p.kind {
 	case LSTM:
-		cell.LSTMDWBatch(p.lstm, g.lstm, panels, xs, hPrevs, stackP, stackB)
+		cell.LSTMDWBatch(p.lstm, g.lstm, panels, xs, hPrevs, sc)
 	case GRU:
-		cell.GRUDWBatch(p.gru, g.gru, panels, xs, hPrevs, rhs, stackP, stackB)
+		cell.GRUDWBatch(p.gru, g.gru, panels, xs, hPrevs, rhs, sc)
 	default:
-		cell.RNNDWBatch(p.rnn, g.rnn, panels, xs, hPrevs, stackP, stackB)
+		cell.RNNDWBatch(p.rnn, g.rnn, panels, xs, hPrevs, sc)
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bpar/internal/cell"
 	"bpar/internal/taskrt"
 	"bpar/internal/tensor"
 )
@@ -137,13 +138,11 @@ type workspace struct {
 	// inputs which get their own kX32 keys.
 	f32 *f32Space
 
-	// Per-(layer, direction) stacking scratch of the batched dw tasks:
-	// stackP* holds the [T·rows x G*H] gate-gradient row stack, stackB*
-	// the [T·rows x max(in,H)] input/state row stack. Private to one task each (the
-	// dw tasks of a layer's two directions serialize on different grad keys),
-	// so they stay unregistered with the dependency sanitizer.
-	stackPFwd, stackPRev []*tensor.Matrix
-	stackBFwd, stackBRev []*tensor.Matrix
+	// Per-(layer, direction) row-stacking scratch of the batched dw tasks.
+	// Private to one task each (the dw tasks of a layer's two directions
+	// serialize on different grad keys), so it stays unregistered with the
+	// dependency sanitizer.
+	dwFwd, dwRev []*cell.DWScratch
 }
 
 // f32Space holds the float32 mirror of the forward-only slice of a
@@ -335,10 +334,8 @@ func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 		w.preRev = make([][]*tensor.Matrix, L)
 		w.dGatesFwd = make([][]*tensor.Matrix, L)
 		w.dGatesRev = make([][]*tensor.Matrix, L)
-		w.stackPFwd = make([]*tensor.Matrix, L)
-		w.stackPRev = make([]*tensor.Matrix, L)
-		w.stackBFwd = make([]*tensor.Matrix, L)
-		w.stackBRev = make([]*tensor.Matrix, L)
+		w.dwFwd = make([]*cell.DWScratch, L)
+		w.dwRev = make([]*cell.DWScratch, L)
 		K := T * rows
 		for l := 0; l < L; l++ {
 			inF, gwF := m.fwd[l].dims()
@@ -347,10 +344,8 @@ func newWorkspace(m *Model, rows, T int, phantom, split, f32 bool) *workspace {
 			w.dGatesFwd[l] = matRow(T, rows, gwF)
 			w.preRev[l] = matRow(T, rows, gwR)
 			w.dGatesRev[l] = matRow(T, rows, gwR)
-			w.stackPFwd[l] = tensor.New(K, gwF)
-			w.stackPRev[l] = tensor.New(K, gwR)
-			w.stackBFwd[l] = tensor.New(K, max(inF, H))
-			w.stackBRev[l] = tensor.New(K, max(inR, H))
+			w.dwFwd[l] = cell.NewDWScratch(K, gwF, inF, H)
+			w.dwRev[l] = cell.NewDWScratch(K, gwR, inR, H)
 		}
 	}
 	if f32 {

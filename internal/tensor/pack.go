@@ -95,18 +95,13 @@ func GemmTAccColsPacked[E Elt](dst, a *Mat[E], pp *PackedPanel[E]) {
 	guardWRR(dst, a, pp.src)
 	m, k, n := a.Rows, a.Cols, pp.N
 	countGemmOf[E](2 * int64(m) * int64(k) * int64(n))
-	gemmTColsPacked(dst, a, pp)
-}
-
-// gemmTColsPacked runs the interleaved groups through gemmTColsGroups and
-// the column-major rest through the scalar microkernel.
-func gemmTColsPacked[E Elt](dst, a *Mat[E], pp *PackedPanel[E]) {
+	// Interleaved groups exist only in float64 panels.
 	j0 := 16 * pp.groups
 	if j0 > 0 {
 		gemmTColsGroups(any(dst).(*Matrix), any(a).(*Matrix), any(pp).(*PackedPanel[float64]))
 	}
-	for jj := j0; jj < pp.N; jj += blockN {
-		gemmTColsPanelPacked(dst, a, pp, jj, min(jj+blockN, pp.N))
+	for jj := j0; jj < n; jj += blockN {
+		gemmTColsPanelPacked(dst, a, pp, jj, min(jj+blockN, n))
 	}
 }
 
@@ -136,8 +131,8 @@ func GemmTAccColsPackedBatch[E Elt](dsts, as []*Mat[E], pp *PackedPanel[E]) {
 	}
 	countGemmOf[E](flops)
 	j0 := 16 * pp.groups
-	for s := range dsts {
-		if j0 > 0 {
+	if j0 > 0 {
+		for s := range dsts {
 			gemmTColsGroups(any(dsts[s]).(*Matrix), any(as[s]).(*Matrix), any(pp).(*PackedPanel[float64]))
 		}
 	}

@@ -40,10 +40,10 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // dotTile computes d[0:w] += s[0:w], where s[l] is the sum over p =
-// 0..k-1, in ascending order and starting from +0, of x[p*xs] * y[p*ys+l]
-// (xs and ys are byte strides; w is 4, 8 or 16). Each lane runs the scalar
-// dot-form statements s += a*b, one rounded multiply then one rounded add,
-// and then d += s.
+// 0..k-1, in ascending order and starting from +0, of x[p*xs/8] *
+// y[p*ys/8+l] (xs and ys are strides in bytes; w is 4, 8 or 16). Each lane
+// runs the scalar dot-form statements s += a*b, one rounded multiply then
+// one rounded add, and then d += s.
 //
 //go:noescape
 func dotTile(d, x *float64, xs uintptr, y *float64, ys uintptr, k, w int)
