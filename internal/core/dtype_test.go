@@ -85,6 +85,68 @@ func TestInferF32MatchesF64(t *testing.T) {
 	}
 }
 
+// TestPackPanelsBitwiseInert pins the packed-f64 contract: the packed
+// recurrent panels, which the float64 split path always reads, must not
+// change a single bit of the inference output, on both the replay and
+// fresh-emission paths and across cell kinds. The wanted fingerprints are
+// the outputs of the unpacked kernels over the same models and batch,
+// captured before the unpacked path was removed (packed and unpacked agreed
+// bitwise then).
+func TestPackPanelsBitwiseInert(t *testing.T) {
+	unpacked := map[CellKind]uint64{
+		LSTM: 0xfcf808eae8b5557c,
+		GRU:  0x3d0ec94b581727a4,
+		RNN:  0x6fe2f06fcdaeb99,
+	}
+	for _, cell := range []CellKind{LSTM, GRU, RNN} {
+		for _, noReplay := range []bool{false, true} {
+			cfg := smallCfg(cell, ManyToOne, 1)
+			m, err := NewModel(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			b := makeBatch(cfg, 9)
+			packed := inferProbsWith(t, m, b, tensor.F64, noReplay)
+			if got := probsFingerprint(packed); got != unpacked[cell] {
+				t.Errorf("%v noReplay=%v: packed f64 output differs from the unpacked kernels (fingerprint 0x%x, want 0x%x)",
+					cell, noReplay, got, unpacked[cell])
+			}
+		}
+	}
+}
+
+// TestPackPanelsTrainingUnaffected verifies training over the packed panels
+// is bitwise-identical to training over the unpacked weights: the loss and
+// weights after three steps must match those the unpacked kernels produced,
+// captured before the unpacked path was removed.
+func TestPackPanelsTrainingUnaffected(t *testing.T) {
+	const (
+		unpackedWeights = 0x33eb01e7caa74015
+		unpackedLoss    = 0x3ff15f42aedad2b5
+	)
+	cfg := smallCfg(LSTM, ManyToOne, 1)
+	m, err := NewModel(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := taskrt.New(taskrt.Options{Workers: 2})
+	defer rt.Shutdown()
+	e := NewEngine(m, rt)
+	var loss float64
+	for i := 0; i < 3; i++ {
+		loss, err = e.TrainStep(makeBatch(cfg, uint64(50+i)), 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := math.Float64bits(loss); got != unpackedLoss {
+		t.Fatalf("loss diverged from the unpacked kernels: %v (bits 0x%x, want 0x%x)", loss, got, uint64(unpackedLoss))
+	}
+	if got := weightFingerprint(m); got != unpackedWeights {
+		t.Fatalf("weights diverged from the unpacked kernels (fingerprint 0x%x, want 0x%x)", got, uint64(unpackedWeights))
+	}
+}
+
 // TestWeightCachesTrackTraining is the invalidation contract: one engine
 // alternates training and f32 inference, and after every update its
 // inference must match a fresh engine built from the current weights — the
